@@ -167,7 +167,8 @@ func (p *Profile) adjust(from, to int64, delta int) error {
 			// Drop the breakpoints ensureBreak may have inserted: they are
 			// redundant (equal capacities) and the profile must be
 			// structurally unchanged after a rejected adjustment.
-			p.coalesce()
+			p.mergeAt(j)
+			p.mergeAt(i)
 			if nf < 0 {
 				return fmt.Errorf("profile: capacity would go negative (%d) at t=%d", nf, at)
 			}
@@ -177,20 +178,71 @@ func (p *Profile) adjust(from, to int64, delta int) error {
 	for k := i; k < j; k++ {
 		p.bps[k].free += delta
 	}
-	p.coalesce()
+	// The profile was coalesced before the edit. Inside [i, j) every
+	// segment moved by the same delta and outside it nothing moved, so only
+	// the range's two edges can now repeat their predecessor's capacity.
+	p.mergeAt(j)
+	p.mergeAt(i)
 	return nil
 }
 
-// coalesce merges adjacent breakpoints with equal capacity.
-func (p *Profile) coalesce() {
-	out := p.bps[:1]
-	for _, bp := range p.bps[1:] {
-		if bp.free == out[len(out)-1].free {
+// mergeAt drops breakpoint k when it carries the same capacity as its
+// predecessor. Callers merge the higher index first so the lower one stays
+// valid.
+func (p *Profile) mergeAt(k int) {
+	if k == 0 || p.bps[k].free != p.bps[k-1].free {
+		return
+	}
+	p.bps = append(p.bps[:k], p.bps[k+1:]...)
+}
+
+// Hold is one running job's claim on capacity, the input to ResetHolds:
+// Nodes busy from the profile's origin until At. ID is the caller's tag
+// for the hold (the simulator stores the job id); the profile ignores it.
+type Hold struct {
+	At    int64
+	Nodes int
+	ID    int64
+}
+
+// ResetHolds reinitializes the profile in place to a `size`-node machine
+// from origin onwards with every hold occupying its nodes on
+// [origin, At). The result equals Reset(origin, size, size) followed by one
+// Occupy(origin, h.At, h.Nodes) per hold, but it is built in one linear
+// sweep over holds, which must be sorted by At. It returns an error and
+// leaves the profile unchanged when a hold ends at or before origin, has a
+// negative node count or is out of order, or when the holds total more
+// than size nodes.
+func (p *Profile) ResetHolds(origin int64, size int, holds []Hold) error {
+	busy := 0
+	for k, h := range holds {
+		switch {
+		case h.At <= origin:
+			return fmt.Errorf("profile: hold %d ends at %d, not after origin %d", h.ID, h.At, origin)
+		case h.Nodes < 0:
+			return fmt.Errorf("profile: hold %d has negative node count %d", h.ID, h.Nodes)
+		case k > 0 && h.At < holds[k-1].At:
+			return fmt.Errorf("profile: hold %d at %d sorted after %d", h.ID, h.At, holds[k-1].At)
+		}
+		busy += h.Nodes
+	}
+	if busy > size {
+		return fmt.Errorf("profile: holds occupy %d nodes of %d", busy, size)
+	}
+	p.size = size
+	p.bps = append(p.bps[:0], breakpoint{t: origin, free: size - busy})
+	for _, h := range holds {
+		if h.Nodes == 0 {
 			continue
 		}
-		out = append(out, bp)
+		last := &p.bps[len(p.bps)-1]
+		if last.t == h.At {
+			last.free += h.Nodes
+			continue
+		}
+		p.bps = append(p.bps, breakpoint{t: h.At, free: last.free + h.Nodes})
 	}
-	p.bps = out
+	return nil
 }
 
 // EarliestFit returns the earliest time s >= after at which `nodes` nodes

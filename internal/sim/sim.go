@@ -136,10 +136,11 @@ type Env interface {
 	// Availability returns the free-capacity timeline implied by the running
 	// jobs: free nodes from Now onwards, with each running job occupying its
 	// nodes until its estimated completion (overruns backed off as in
-	// RunningJob.EstimatedCompletion). The profile is built at most once per
-	// scheduling pass and shared by every policy component — reservation
-	// searches, backfill feasibility checks, starvation-queue reservations —
-	// so callers MUST NOT mutate it; copy it (profile.CopyFrom) before
+	// RunningJob.EstimatedCompletion). The simulator builds it at most once
+	// per scheduling pass, in one linear sweep over a hold list it keeps
+	// sorted by estimated completion. It is shared by every policy
+	// component — reservation searches, backfill feasibility checks,
+	// starvation-queue reservations — so callers MUST NOT mutate it; copy it (profile.CopyFrom) before
 	// occupying. The returned profile is invalidated by the next Start call
 	// and by the clock advancing: re-fetch it rather than retaining it across
 	// starts.

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"fairsched/internal/eventq"
@@ -112,6 +114,13 @@ type Simulator struct {
 	avail      profile.Profile
 	availDirty bool
 	availInit  bool
+	// holds is the profile's input: one (estimated completion, nodes, job
+	// id) per running job, sorted by completion. Start inserts, release and
+	// Preempt remove, and Availability re-places the overrun prefix whose
+	// estimate has passed, so a rebuild is one linear sweep. overrunBuf is
+	// that re-placement's scratch.
+	holds      []profile.Hold
+	overrunBuf []profile.Hold
 }
 
 // New creates a simulator for the given configuration and policy.
@@ -143,20 +152,68 @@ func (s *Simulator) Fairshare() *fairshare.Tracker { return s.fs }
 // running jobs, built at most once per scheduling pass. Every policy
 // component in that pass (reservation search, backfill check, starvation
 // reservation) reads the same profile instead of re-deriving release times
-// from the running set; Start and the advancing clock invalidate it.
+// from the running set; Start and the advancing clock invalidate it. The
+// profile is built from the maintained hold list in one linear sweep.
 func (s *Simulator) Availability() *profile.Profile {
 	if !s.availInit || s.availDirty {
-		s.avail.Reset(s.now, s.cfg.SystemSize, s.cfg.SystemSize)
-		for _, r := range s.running {
-			if err := s.avail.Occupy(s.now, r.EstimatedCompletion(s.now), r.Job.Nodes); err != nil {
-				// Running jobs always fit: they were started within capacity.
-				panic(fmt.Sprintf("sim: availability occupancy: %v", err))
-			}
+		s.placeOverruns()
+		if err := s.avail.ResetHolds(s.now, s.cfg.SystemSize, s.holds); err != nil {
+			// Running jobs always fit: they were started within capacity.
+			panic(fmt.Sprintf("sim: availability occupancy: %v", err))
 		}
 		s.availInit = true
 		s.availDirty = false
 	}
 	return &s.avail
+}
+
+// placeOverruns moves the holds whose estimated completion has passed (the
+// prefix with At <= now) to their backed-off estimates, as in
+// RunningJob.EstimatedCompletion, and merges them back into sorted order.
+// Every other hold already carries its current estimate: a completion
+// estimate does not change while it lies in the future.
+func (s *Simulator) placeOverruns() {
+	k := sort.Search(len(s.holds), func(i int) bool { return s.holds[i].At > s.now })
+	if k == 0 {
+		return
+	}
+	over := append(s.overrunBuf[:0], s.holds[:k]...)
+	s.overrunBuf = over
+	for i := range over {
+		r := s.running[s.runningIndex(job.ID(over[i].ID))]
+		over[i].At = r.EstimatedCompletion(s.now)
+	}
+	slices.SortFunc(over, func(a, b profile.Hold) int { return cmp.Compare(a.At, b.At) })
+	// Merge over with the sorted suffix holds[k:] into holds[0:]. The write
+	// index w = a + (b-k) never passes the read index b, so no unread hold is
+	// overwritten; once over is exhausted the suffix is already in place.
+	w, b := 0, k
+	for a := 0; a < len(over); w++ {
+		if b < len(s.holds) && s.holds[b].At < over[a].At {
+			s.holds[w] = s.holds[b]
+			b++
+		} else {
+			s.holds[w] = over[a]
+			a++
+		}
+	}
+}
+
+// addHold inserts a just-started job's hold at its sorted position.
+func (s *Simulator) addHold(r RunningJob) {
+	h := profile.Hold{At: r.EstimatedCompletion(s.now), Nodes: r.Job.Nodes, ID: int64(r.Job.ID)}
+	i := sort.Search(len(s.holds), func(i int) bool { return s.holds[i].At > h.At })
+	s.holds = slices.Insert(s.holds, i, h)
+}
+
+// removeHold drops a job's hold when it leaves the running set.
+func (s *Simulator) removeHold(id job.ID) {
+	for i := range s.holds {
+		if s.holds[i].ID == int64(id) {
+			s.holds = slices.Delete(s.holds, i, i+1)
+			return
+		}
+	}
 }
 
 // Start implements Env: a policy launches a queued job now.
@@ -179,6 +236,7 @@ func (s *Simulator) Start(j *job.Job) error {
 	s.used += j.Nodes
 	s.queuedNodes -= j.Nodes
 	s.running = append(s.running, RunningJob{Job: j, Start: s.now})
+	s.addHold(s.running[len(s.running)-1])
 	s.addUserNodes(j.User, j.Nodes)
 	s.availDirty = true
 	runtime := j.Runtime
@@ -306,6 +364,7 @@ func (s *Simulator) Preempt(j *job.Job) error {
 	copy(s.running[idx:], s.running[idx+1:])
 	s.running[len(s.running)-1] = RunningJob{}
 	s.running = s.running[:len(s.running)-1]
+	s.removeHold(j.ID)
 	s.used -= j.Nodes
 	s.addUserNodes(j.User, -j.Nodes)
 	s.availDirty = true
@@ -589,6 +648,7 @@ func (s *Simulator) release(j *job.Job, killed bool) (start int64, ok bool) {
 	copy(s.running[idx:], s.running[idx+1:])
 	s.running[len(s.running)-1] = RunningJob{} // drop the job pointer for the GC
 	s.running = s.running[:len(s.running)-1]
+	s.removeHold(j.ID)
 	s.used -= j.Nodes
 	s.addUserNodes(j.User, -j.Nodes)
 	s.availDirty = true
@@ -753,6 +813,37 @@ func (s *Simulator) checkInvariants() error {
 	for _, u := range s.userNodes {
 		if userNodes[u.User] != u.Nodes {
 			return fmt.Errorf("sim: user %d aggregation drift: tracked %d nodes, actual %d", u.User, u.Nodes, userNodes[u.User])
+		}
+	}
+	return s.checkHolds()
+}
+
+// checkHolds verifies that the hold list mirrors the running set: one hold
+// per running job carrying its nodes, sorted by completion. A hold still in
+// the future must sit at its job's current estimated completion; one that
+// has passed awaits re-placement by the next Availability rebuild.
+func (s *Simulator) checkHolds() error {
+	if len(s.holds) != len(s.running) {
+		return fmt.Errorf("sim: hold list drift: %d holds for %d running jobs", len(s.holds), len(s.running))
+	}
+	unheld := make(map[job.ID]RunningJob, len(s.running))
+	for _, r := range s.running {
+		unheld[r.Job.ID] = r
+	}
+	for k, h := range s.holds {
+		if k > 0 && h.At < s.holds[k-1].At {
+			return fmt.Errorf("sim: hold list unsorted at index %d (%d after %d)", k, h.At, s.holds[k-1].At)
+		}
+		r, ok := unheld[job.ID(h.ID)]
+		if !ok {
+			return fmt.Errorf("sim: hold for job %d, which is not running or already held", h.ID)
+		}
+		delete(unheld, job.ID(h.ID))
+		if h.Nodes != r.Job.Nodes {
+			return fmt.Errorf("sim: hold for job %d has %d nodes, job has %d", h.ID, h.Nodes, r.Job.Nodes)
+		}
+		if ec := r.EstimatedCompletion(s.now); h.At > s.now && h.At != ec {
+			return fmt.Errorf("sim: hold for job %d ends at %d, estimated completion is %d", h.ID, h.At, ec)
 		}
 	}
 	return nil
