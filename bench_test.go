@@ -326,25 +326,6 @@ func BenchmarkSweepThroughputParallelMax(b *testing.B) {
 	benchSweepThroughput(b, runtime.GOMAXPROCS(0))
 }
 
-// BenchmarkSweepMatrixSeeds times the (seed × policy) grid fan-out behind
-// `cmd/experiments -seeds` at full machine width: 3 seeds × 9 policies per
-// iteration.
-func BenchmarkSweepMatrixSeeds(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		grid, err := sweep.Matrix{
-			Workload: workload.Config{Scale: 0.1, SystemSize: benchNodes},
-			Study:    core.StudyConfig{SystemSize: benchNodes},
-			Seeds:    []int64{1, 2, 3},
-		}.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(grid) != 3 {
-			b.Fatalf("got %d seed groups", len(grid))
-		}
-	}
-}
-
 // --- Ablations (DESIGN.md §7) ---
 
 func benchRunPolicy(b *testing.B, cfg core.StudyConfig, key string) *fairsched.Summary {

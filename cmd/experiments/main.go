@@ -11,7 +11,7 @@
 //	experiments -parallel 1     # serial sweep (byte-identical output)
 //	experiments -scale 0.25     # quick quarter-scale sweep
 //	experiments -in ross.swf    # sweep over an existing trace
-//	experiments -seeds 10       # tally claim robustness across 10 seeds
+//	experiments -seeds 10       # paper-claim FINDINGS across seeds seed..seed+9
 //	experiments -markdown       # also emit EXPERIMENTS.md-style tables
 //
 // Campaign mode (any -trace, -scenario, -policy or -window flag):
@@ -49,6 +49,7 @@ import (
 	"fairsched/internal/core"
 	"fairsched/internal/experiments"
 	"fairsched/internal/fairshare"
+	"fairsched/internal/hypothesis"
 	"fairsched/internal/scenario"
 	"fairsched/internal/sweep"
 	"fairsched/internal/swf"
@@ -74,7 +75,7 @@ func main() {
 		decay    = flag.Float64("decay", 0.5, "fairshare decay factor")
 		csv      = flag.String("csv", "", "also export every artifact as CSV into this directory")
 		mcmp     = flag.Bool("metrics", false, "also compare the §4 fairness metrics (hybrid vs CONS-P) across all policies")
-		sweepN   = flag.Int("seeds", 0, "extra seeds: claim-robustness tally (full study) or campaign seed count")
+		sweepN   = flag.Int("seeds", 0, "extra seeds: paper-claim FINDINGS over seeds seed..seed+N-1 (full study) or campaign seed count")
 		parallel = flag.Int("parallel", 0, "worker pool size for the sweep engine (0: one per CPU; 1: serial)")
 		markdown = flag.Bool("markdown", false, "also emit the paper-vs-measured and claim tables as Markdown (for EXPERIMENTS.md)")
 
@@ -309,23 +310,31 @@ func main() {
 		fmt.Printf("CSV artifacts written to %s\n", *csv)
 	}
 	if *sweepN > 0 {
-		seeds := make([]int64, *sweepN)
-		for i := range seeds {
-			seeds[i] = *seed + int64(i)
-		}
-		tally, err := experiments.SeedSweep(experiments.Config{
-			Workload: workload.Config{Scale: *scale, SystemSize: *nodes, BurstGamma: *burst},
-			Study:    study,
-			Parallel: *parallel,
-		}, seeds)
-		if tally != nil {
-			// Surviving seeds are still tallied when some runs failed.
-			experiments.RenderSeedSweep(os.Stdout, tally, seeds)
+		eval, err := paperFindings(workload.Config{Scale: *scale, SystemSize: *nodes, BurstGamma: *burst},
+			study, *seed, *sweepN, *parallel)
+		if eval != nil {
+			// Surviving seeds keep their verdicts when some cells failed.
+			hypothesis.RenderFindings(os.Stdout, eval)
 		}
 		if err != nil {
 			fatal(err)
 		}
 	}
+}
+
+// paperFindings evaluates the paper's claims on the synthetic workload
+// under seeds first..first+n-1: the -seeds report.
+func paperFindings(wl workload.Config, study core.StudyConfig, first int64, n, parallel int) (*hypothesis.Evaluation, error) {
+	seeds := make([]int64, n)
+	for i := range seeds {
+		seeds[i] = first + int64(i)
+	}
+	return hypothesis.RunCampaign(experiments.PaperHypotheses(), hypothesis.CampaignOptions{
+		Source:   scenario.Synthetic(wl),
+		Study:    study,
+		Parallel: parallel,
+		Seeds:    seeds,
+	})
 }
 
 type campaignParams struct {

@@ -113,13 +113,16 @@ func main() {
 	}
 
 	eval, err := hypothesis.RunCampaign(specs, opt)
-	if err != nil {
+	if eval == nil {
 		fatal(err)
 	}
 	if *markdown {
 		hypothesis.RenderMarkdown(os.Stdout, eval)
 	} else {
 		hypothesis.RenderFindings(os.Stdout, eval)
+	}
+	if err != nil {
+		fatal(err) // failed cells; the verdicts above cover the rest
 	}
 	if failed := eval.GateFailed(gateTier); len(failed) > 0 {
 		fmt.Fprintf(os.Stderr, "hypotheses: %d tier<=%d claim(s) refuted: %s\n",

@@ -429,7 +429,8 @@ func ParseHypothesis(in string) (HypothesisSpec, error) { return hypothesis.Pars
 
 // RunHypotheses expands the claims into one campaign and evaluates them;
 // the result (and any report rendered from it) is byte-identical at every
-// parallelism setting.
+// parallelism setting. When some cells fail, the evaluation of the
+// surviving cells comes back together with the aggregated *SweepErrors.
 func RunHypotheses(specs []HypothesisSpec, opt HypothesisOptions) (*HypothesisEvaluation, error) {
 	return hypothesis.RunCampaign(specs, opt)
 }

@@ -1,6 +1,7 @@
 package hypothesis
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -105,6 +106,11 @@ type cellData struct {
 // matrix axes are assembled deterministically: scenarios and policies in
 // first-appearance order over the claims, seeds ascending — so the campaign
 // (and its report) is a pure function of the claim batch.
+//
+// A failing cell does not void the evaluation: when the campaign returns a
+// *sweep.Errors, the surviving cells are still evaluated and the
+// Evaluation comes back together with that error; each claim that needs a
+// failed cell reports the miss for that seed.
 func RunCampaign(specs []Spec, opt CampaignOptions) (*Evaluation, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("hypothesis: no claims to run")
@@ -221,9 +227,10 @@ func RunCampaign(specs []Spec, opt CampaignOptions) (*Evaluation, error) {
 		Parallel:       opt.Parallel,
 		PolicyParallel: opt.PolicyParallel,
 	}
-	cells, err := camp.Run()
-	if err != nil {
-		return nil, err
+	cells, runErr := camp.Run()
+	var failed *sweep.Errors
+	if runErr != nil && !errors.As(runErr, &failed) {
+		return nil, runErr
 	}
 
 	// Index the cells. Failed cells (nil slots) simply stay unindexed; the
@@ -268,5 +275,5 @@ func RunCampaign(specs []Spec, opt CampaignOptions) (*Evaluation, error) {
 			}
 		}))
 	}
-	return eval, nil
+	return eval, runErr
 }

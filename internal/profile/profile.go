@@ -48,21 +48,6 @@ func New(origin int64, free, size int) *Profile {
 	return p
 }
 
-// Reset reinitializes the profile in place to `free` nodes available from
-// origin onwards out of `size`, reusing the breakpoint backing array. It is
-// the allocation-free equivalent of New for hot paths that rebuild a profile
-// every scheduling event.
-func (p *Profile) Reset(origin int64, free, size int) {
-	if free > size {
-		free = size
-	}
-	p.size = size
-	p.bps = append(p.bps[:0], breakpoint{t: origin, free: free})
-	if free != size {
-		p.bps = append(p.bps, breakpoint{t: Horizon, free: size})
-	}
-}
-
 // CopyFrom makes p a deep copy of src, reusing p's breakpoint backing array.
 // The allocation-free equivalent of src.Clone() for reused scratch profiles.
 func (p *Profile) CopyFrom(src *Profile) {
@@ -205,14 +190,14 @@ type Hold struct {
 	ID    int64
 }
 
-// ResetHolds reinitializes the profile in place to a `size`-node machine
-// from origin onwards with every hold occupying its nodes on
-// [origin, At). The result equals Reset(origin, size, size) followed by one
-// Occupy(origin, h.At, h.Nodes) per hold, but it is built in one linear
-// sweep over holds, which must be sorted by At. It returns an error and
-// leaves the profile unchanged when a hold ends at or before origin, has a
-// negative node count or is out of order, or when the holds total more
-// than size nodes.
+// ResetHolds reinitializes the profile in place, reusing the breakpoint
+// backing array, to a `size`-node machine from origin onwards with every
+// hold occupying its nodes on [origin, At). The result equals
+// New(origin, size, size) followed by one Occupy(origin, h.At, h.Nodes) per
+// hold, but it is built in one linear sweep over holds, which must be
+// sorted by At. It returns an error and leaves the profile unchanged when
+// a hold ends at or before origin, has a negative node count or is out of
+// order, or when the holds total more than size nodes.
 func (p *Profile) ResetHolds(origin int64, size int, holds []Hold) error {
 	busy := 0
 	for k, h := range holds {
@@ -298,66 +283,6 @@ func (p *Profile) EarliestFit(after, dur int64, nodes int) (s int64, ok bool) {
 			return s, true
 		}
 	}
-}
-
-// EarliestFitBefore is EarliestFit restricted to candidate starts strictly
-// below limit: it returns the earliest s in [after, limit) at which the
-// rectangle fits (the fit itself may extend past limit), or ok=false when
-// no such start exists. Bounding the start lets the conservative engine's
-// hole-aware partial rebuild probe just the released window [now, holeEnd)
-// instead of scanning to a job's standing reservation, without ever walking
-// breakpoints past the window.
-func (p *Profile) EarliestFitBefore(after, limit, dur int64, nodes int) (s int64, ok bool) {
-	if after >= limit {
-		return 0, false
-	}
-	if nodes <= 0 || dur <= 0 {
-		return after, nodes <= p.size
-	}
-	if nodes > p.size {
-		return 0, false
-	}
-	if after < p.Origin() {
-		after = p.Origin()
-		if after >= limit {
-			return 0, false
-		}
-	}
-	i := sort.Search(len(p.bps), func(i int) bool { return p.bps[i].t > after })
-	if i > 0 {
-		i--
-	}
-	s = after
-	if p.bps[i].t > s {
-		s = p.bps[i].t
-	}
-	for s < limit {
-		end := s + dur
-		k := i
-		for k+1 < len(p.bps) && p.bps[k+1].t <= s {
-			k++
-		}
-		violated := false
-		for {
-			if p.bps[k].free < nodes {
-				if k+1 >= len(p.bps) {
-					return 0, false // steady tail lacks capacity
-				}
-				s = p.bps[k+1].t
-				i = k + 1
-				violated = true
-				break
-			}
-			if k+1 >= len(p.bps) || p.bps[k+1].t >= end {
-				break // window fully checked
-			}
-			k++
-		}
-		if !violated {
-			return s, true
-		}
-	}
-	return 0, false
 }
 
 // SteadyFree returns the capacity after the last breakpoint.

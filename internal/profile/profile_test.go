@@ -205,23 +205,21 @@ func TestResetReusesBackingArray(t *testing.T) {
 	if err := p.Occupy(5, 20, 4); err != nil {
 		t.Fatal(err)
 	}
-	p.Reset(100, 8, 16)
-	if p.Size() != 16 || p.Origin() != 100 {
-		t.Fatalf("reset profile: size=%d origin=%d", p.Size(), p.Origin())
+	holds := []Hold{{At: 120, Nodes: 3}, {At: 150, Nodes: 5}}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := p.ResetHolds(100, 16, holds); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("ResetHolds allocated %.0f times; the backing array must be reused", allocs)
 	}
-	if got := p.FreeAt(100); got != 8 {
-		t.Fatalf("free at origin = %d, want 8", got)
-	}
-	if got := p.SteadyFree(); got != 16 {
-		t.Fatalf("steady free = %d, want 16 (capacity returns to size)", got)
+	if p.Size() != 16 || p.Origin() != 100 || p.FreeAt(100) != 8 || p.SteadyFree() != 16 {
+		t.Fatalf("reset profile: size=%d origin=%d free=%d steady=%d",
+			p.Size(), p.Origin(), p.FreeAt(100), p.SteadyFree())
 	}
 	if err := p.CheckInvariants(); err != nil {
 		t.Fatal(err)
-	}
-	// Reset to full capacity drops the horizon breakpoint.
-	p.Reset(0, 12, 12)
-	if times, _ := p.Breakpoints(); len(times) != 1 {
-		t.Fatalf("full-capacity reset kept %d breakpoints", len(times))
 	}
 }
 
@@ -301,45 +299,5 @@ func TestCopyFromMatchesClone(t *testing.T) {
 	}
 	if err := dst.CheckInvariants(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestEarliestFitBefore(t *testing.T) {
-	p := New(0, 10, 10)
-	// Occupy [0,100) fully except a 4-node hole on [20,40).
-	if err := p.Occupy(0, 100, 10); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Release(20, 40, 4); err != nil {
-		t.Fatal(err)
-	}
-
-	// A 4x10 rectangle fits at 20; the bound at 40 admits it, a bound at 20
-	// excludes it.
-	if s, ok := p.EarliestFitBefore(0, 40, 10, 4); !ok || s != 20 {
-		t.Fatalf("got (%d,%v), want (20,true)", s, ok)
-	}
-	if _, ok := p.EarliestFitBefore(0, 20, 10, 4); ok {
-		t.Fatal("limit 20 must exclude the start at 20")
-	}
-	// The fitted rectangle may extend past the limit: a 4x30 job starting at
-	// 20 runs to 50, beyond limit 21 — still admitted (only the start is
-	// bounded) if capacity holds, which it does not here (hole ends at 40).
-	if _, ok := p.EarliestFitBefore(0, 21, 30, 4); ok {
-		t.Fatal("4x30 does not fit at 20 (hole ends at 40)")
-	}
-	if s, ok := p.EarliestFitBefore(0, 21, 20, 4); !ok || s != 20 {
-		t.Fatalf("4x20 spanning past the limit: got (%d,%v), want (20,true)", s, ok)
-	}
-	// Too wide for the hole: the first fit is at 100, past any bound below.
-	if _, ok := p.EarliestFitBefore(0, 99, 10, 5); ok {
-		t.Fatal("5 nodes never free before 100")
-	}
-	// Degenerate bounds.
-	if _, ok := p.EarliestFitBefore(50, 50, 1, 1); ok {
-		t.Fatal("empty window [50,50) admitted a fit")
-	}
-	if _, ok := p.EarliestFitBefore(0, 5, 1, 11); ok {
-		t.Fatal("wider than the system admitted a fit")
 	}
 }

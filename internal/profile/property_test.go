@@ -117,37 +117,3 @@ func TestQuickOccupyAtEarliestFitSucceeds(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestQuickEarliestFitBeforeAgrees pins EarliestFitBefore to its spec: it
-// returns exactly EarliestFit's answer when that answer starts below the
-// limit, and no fit otherwise.
-func TestQuickEarliestFitBeforeAgrees(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		const size = 32
-		p := New(0, size, size)
-		for i := 0; i < 25; i++ {
-			from := rng.Int63n(500)
-			_ = p.Occupy(from, from+1+rng.Int63n(100), rng.Intn(size)+1)
-		}
-		for i := 0; i < 50; i++ {
-			after := rng.Int63n(600)
-			limit := after + rng.Int63n(200) - 20 // sometimes <= after
-			dur := rng.Int63n(150) + 1
-			nodes := rng.Intn(size) + 1
-			s, ok := p.EarliestFit(after, dur, nodes)
-			bs, bok := p.EarliestFitBefore(after, limit, dur, nodes)
-			if ok && s < limit {
-				if !bok || bs != s {
-					return false
-				}
-			} else if bok {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -118,7 +118,7 @@ func TestQuickEdgeCoalesceMatchesFullPass(t *testing.T) {
 }
 
 // TestQuickResetHoldsMatchesOccupyLoop checks ResetHolds against the loop
-// it replaces, Reset followed by one Occupy per hold: the same breakpoints
+// it replaces, New followed by one Occupy per hold: the same breakpoints
 // when the loop succeeds, an error (and an untouched profile) when it
 // fails. Holds tie, carry zero nodes, overfill the machine and end at or
 // before the origin.
@@ -138,8 +138,7 @@ func TestQuickResetHoldsMatchesOccupyLoop(t *testing.T) {
 		}
 		sort.SliceStable(holds, func(a, b int) bool { return holds[a].At < holds[b].At })
 
-		var want Profile
-		want.Reset(origin, size, size)
+		want := New(origin, size, size)
 		var wantErr error
 		busy := 0
 		for _, h := range holds {
@@ -166,7 +165,7 @@ func TestQuickResetHoldsMatchesOccupyLoop(t *testing.T) {
 			return sameBreakpoints(got, before) && got.Size() == before.Size()
 		}
 		ok++
-		return sameBreakpoints(got, &want) && got.Size() == size && got.CheckInvariants() == nil
+		return sameBreakpoints(got, want) && got.Size() == size && got.CheckInvariants() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

@@ -28,9 +28,9 @@ func benchPolicyEvents(b *testing.B, spec string) {
 	benchPolicyEventsWith(b, func() *Composite { return MustParse(spec) })
 }
 
-// benchPolicyEventsRef runs a conservative policy with the revalidation
-// cache disabled — the from-scratch reference path — so the cache's win is
-// measurable inside one binary.
+// benchPolicyEventsRef runs the static conservative policy with the
+// revalidation cache disabled — the from-scratch reference path — so the
+// cache's win is measurable inside one binary.
 func benchPolicyEventsRef(b *testing.B, spec string) {
 	benchPolicyEventsWith(b, func() *Composite {
 		pol := MustParse(spec)
@@ -64,10 +64,9 @@ func BenchmarkEventEASY(b *testing.B)           { benchPolicyEvents(b, "easy") }
 func BenchmarkEventConservative(b *testing.B)   { benchPolicyEvents(b, "cons.nomax") }
 func BenchmarkEventConsDynamic(b *testing.B)    { benchPolicyEvents(b, "consdyn.nomax") }
 
-// The *Ref variants run the same disciplines with the revalidation cache
+// The Ref variant runs the same discipline with the revalidation cache
 // disabled (the from-scratch reference): the pair quantifies the cache.
 func BenchmarkEventConservativeRef(b *testing.B) { benchPolicyEventsRef(b, "cons.nomax") }
-func BenchmarkEventConsDynamicRef(b *testing.B)  { benchPolicyEventsRef(b, "consdyn.nomax") }
 func BenchmarkEventDepth8(b *testing.B)          { benchPolicyEvents(b, "depth8") }
 func BenchmarkEventListFairshare(b *testing.B)   { benchPolicyEvents(b, "list.fairshare") }
 func BenchmarkEventSJFEasy(b *testing.B)         { benchPolicyEvents(b, "easy.sjf") }

@@ -1,22 +1,53 @@
 package sched
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"fairsched/internal/job"
+	"fairsched/internal/profile"
 	"fairsched/internal/sim"
 	"fairsched/internal/workload"
 )
 
-// mustParseNoCache builds a policy with the conservative engine's
-// revalidation cache disabled — the from-scratch reference path.
-func mustParseNoCache(t testing.TB, spec string) *Composite {
+// scratchEnv is a sim.Env whose Availability is rebuilt from the running
+// set on every call (one Occupy per running job until its estimated
+// completion) instead of read from the simulator's maintained hold list.
+type scratchEnv struct{ sim.Env }
+
+func (e scratchEnv) Availability() *profile.Profile {
+	now, size := e.Now(), e.SystemSize()
+	p := profile.New(now, size, size)
+	for _, r := range e.Running() {
+		if err := p.Occupy(now, r.EstimatedCompletion(now), r.Job.Nodes); err != nil {
+			panic(fmt.Sprintf("scratch availability: %v", err))
+		}
+	}
+	return p
+}
+
+// scratchPolicy runs a policy on scratchEnv. The dynamic conservative
+// engine keeps no cache of its own, so its from-scratch reference is the
+// same engine on a from-scratch availability profile.
+type scratchPolicy struct{ *Composite }
+
+func (p scratchPolicy) Reset(env sim.Env)                { p.Composite.Reset(scratchEnv{env}) }
+func (p scratchPolicy) Arrive(env sim.Env, j *job.Job)   { p.Composite.Arrive(scratchEnv{env}, j) }
+func (p scratchPolicy) Complete(env sim.Env, j *job.Job) { p.Composite.Complete(scratchEnv{env}, j) }
+func (p scratchPolicy) Wake(env sim.Env)                 { p.Composite.Wake(scratchEnv{env}) }
+
+// reference returns spec's from-scratch reference: the static engine with
+// its revalidation cache disabled, or the dynamic engine on scratchEnv.
+func reference(t testing.TB, spec string) sim.Policy {
 	t.Helper()
 	pol := MustParse(spec)
 	eng, ok := pol.engine.(*conservativeEngine)
 	if !ok {
 		t.Fatalf("%s has no conservative engine", spec)
+	}
+	if eng.dynamic {
+		return scratchPolicy{pol}
 	}
 	eng.noCache = true
 	return pol
@@ -24,7 +55,7 @@ func mustParseNoCache(t testing.TB, spec string) *Composite {
 
 // runRecords executes one policy over a workload and returns the full
 // records plus the event count.
-func runRecords(t testing.TB, pol *Composite, cfg sim.Config, jobs []*job.Job) *sim.Result {
+func runRecords(t testing.TB, pol sim.Policy, cfg sim.Config, jobs []*job.Job) *sim.Result {
 	t.Helper()
 	res, err := sim.New(cfg, pol).Run(jobs)
 	if err != nil {
@@ -54,12 +85,14 @@ func assertSameSchedule(t *testing.T, name string, got, want *sim.Result) {
 	}
 }
 
-// TestConservativeCacheMatchesFromScratch: the revalidation cache is a pure
-// optimization — for both disciplines the produced schedule must be
-// identical, event for event, to the from-scratch rebuild on calm and
-// contended workloads, with perfect estimates, overestimates and
-// underestimates (overrun backoff, the cache's full-rebuild fallback), and
-// with max-runtime splitting and kill policies in play.
+// TestConservativeCacheMatchesFromScratch: the static revalidation cache is
+// a pure optimization — the produced schedule must be identical, event for
+// event, to the from-scratch rebuild on calm and contended workloads, with
+// perfect estimates, overestimates and underestimates (overrun backoff, the
+// cache's full-rebuild fallback), and with max-runtime splitting and kill
+// policies in play. The dynamic engine's only cache is the simulator's
+// shared availability profile, so its reference rebuilds that profile from
+// the running set at every call.
 func TestConservativeCacheMatchesFromScratch(t *testing.T) {
 	h := int64(3600)
 	type tc struct {
@@ -83,20 +116,19 @@ func TestConservativeCacheMatchesFromScratch(t *testing.T) {
 					t.Fatal(err)
 				}
 				cached := runRecords(t, MustParse(spec), c.cfg, jobs)
-				ref := runRecords(t, mustParseNoCache(t, spec), c.cfg, jobs)
+				ref := runRecords(t, reference(t, spec), c.cfg, jobs)
 				assertSameSchedule(t, spec+"/"+c.name, cached, ref)
 			})
 		}
 	}
 }
 
-// TestConsdynPartialRebuildHoleHeavy targets the dynamic engine's
-// hole-aware partial rebuild (partialRebuild): workloads dominated by large
-// overestimates, so nearly every completion is early and opens a hole, and
-// short jobs that can actually reach the released windows. Every released
-// interval must produce exactly the schedule the from-scratch replay
-// produces — including the verbatim prefix the partial rebuild skips.
-func TestConsdynPartialRebuildHoleHeavy(t *testing.T) {
+// TestConservativeCacheHoleHeavy targets the static cache's early-
+// completion path: workloads dominated by large overestimates, so nearly
+// every completion is early and opens a hole, and short jobs that can
+// actually reach the released windows. Every hole must be compressed into
+// exactly the schedule the from-scratch rebuild produces.
+func TestConservativeCacheHoleHeavy(t *testing.T) {
 	for seed := int64(100); seed < 160; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		const size = 24
@@ -122,10 +154,10 @@ func TestConsdynPartialRebuildHoleHeavy(t *testing.T) {
 				Nodes:    nodes,
 			}
 		}
-		for _, spec := range []string{"consdyn.nomax", "consdyn.lxf", "consdyn.sjf"} {
+		for _, spec := range []string{"cons.nomax", "cons.lxf", "cons.sjf"} {
 			cfg := sim.Config{SystemSize: size, Validate: true}
 			cached := runRecords(t, MustParse(spec), cfg, jobs)
-			ref := runRecords(t, mustParseNoCache(t, spec), cfg, jobs)
+			ref := runRecords(t, reference(t, spec), cfg, jobs)
 			assertSameSchedule(t, spec, cached, ref)
 			if t.Failed() {
 				t.Fatalf("seed %d diverged", seed)
@@ -137,7 +169,8 @@ func TestConsdynPartialRebuildHoleHeavy(t *testing.T) {
 // TestConservativeCacheMatchesRandomized sweeps random small workloads with
 // mixed estimate quality — heavy on underestimates, so the overrun-backoff
 // fallback and the same-instant completion batches are exercised — through
-// cached and reference engines.
+// cached and reference engines (for consdyn, the overrun placement of the
+// simulator's hold list against a from-scratch profile).
 func TestConservativeCacheMatchesRandomized(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -165,7 +198,7 @@ func TestConservativeCacheMatchesRandomized(t *testing.T) {
 		for _, spec := range []string{"cons.nomax", "consdyn.nomax"} {
 			cfg := sim.Config{SystemSize: size, Validate: true}
 			cached := runRecords(t, MustParse(spec), cfg, jobs)
-			ref := runRecords(t, mustParseNoCache(t, spec), cfg, jobs)
+			ref := runRecords(t, reference(t, spec), cfg, jobs)
 			for i := range cached.Records {
 				g, w := cached.Records[i], ref.Records[i]
 				if g.Job.ID != w.Job.ID || g.Start != w.Start || g.Complete != w.Complete {

@@ -28,50 +28,41 @@ import (
 // "FCFS feel", but "fair" jobs still cannot starve under usage-decaying
 // orders because low-usage users rise in the rebuild order.
 //
-// Both variants run on a revalidation cache: the occupied profile (running
-// jobs' promised release times plus every standing reservation) persists
-// across events instead of being rebuilt by re-occupying every queued job
-// per event. Each event classifies what actually changed — nothing, a new
-// arrival, an early-completion hole, or an estimate-overrun backoff — and
-// does only the matching work; the from-scratch rebuild survives as the
-// fallback for the overrun case (and as the noCache reference the
-// differential tests compare against). The cache is an optimization with a
-// proof obligation: reservations must be byte-identical to the from-scratch
-// schedule at every event (DESIGN.md §10).
+// The static variant runs on a revalidation cache: the occupied profile
+// (running jobs' promised release times plus every standing reservation)
+// persists across events instead of being rebuilt by re-occupying every
+// queued job per event. Each event classifies what actually changed —
+// nothing, a new arrival, an early-completion hole, or an estimate-overrun
+// backoff — and does only the matching work; the from-scratch rebuild
+// survives as the fallback for the overrun case (and as the noCache
+// reference the differential tests compare against). The cache is an
+// optimization with a proof obligation: reservations must be byte-identical
+// to the from-scratch schedule at every event (DESIGN.md §10). The dynamic
+// variant always takes the from-scratch path and keeps no cache state.
 type conservativeEngine struct {
 	order   Order
 	dynamic bool
 
 	queue []*reservedJob
 
-	// Revalidation cache state.
+	// Revalidation cache state (static only).
 	//
 	// prof is the standing occupied profile; cacheOK marks it valid (false
 	// initially, after reset, and when noCache forces the reference path).
+	// The dynamic engine uses prof as its rebuild scratch only.
 	prof    profile.Profile
 	cacheOK bool
-	// holes records unconsumed capacity growth (early completions) — the
-	// static engine must run its improvement passes, the dynamic engine
-	// must replay its placement against the grown profile. Also set when an
-	// improvement loop hit its pass bound without reaching the fixpoint, so
-	// the next event resumes it exactly where the from-scratch schedule
-	// would.
+	// holes records unconsumed capacity growth (early completions): the
+	// improvement passes must run. Also set when an improvement loop hit its
+	// pass bound without reaching the fixpoint, so the next event resumes it
+	// exactly where the from-scratch schedule would.
 	holes bool
-	// holeEnd (dynamic only) is the upper edge of the released capacity:
-	// the max promised release time over the holes opened since the last
-	// placement. Every hole lies within [now, holeEnd), which bounds the
-	// partial rebuild's probe window.
-	holeEnd int64
 	// snaps tracks the running set the profile was built against, sorted by
 	// promised release time (ec). snaps[0].ec <= now detects estimate-
 	// overrun backoff: a running job's promised release changes exactly when
 	// the clock crosses it, which invalidates reservations and forces the
 	// from-scratch fallback.
 	snaps []runSnap
-	// lastOrder (dynamic only) is the queue in the priority order of the
-	// last placement; the longest unchanged reserved prefix keeps its
-	// reservations, everything after it is re-placed.
-	lastOrder []job.ID
 
 	// Reused scratch buffers.
 	impBuf []*reservedJob // improvement / placement order
@@ -111,9 +102,7 @@ func (e *conservativeEngine) reset() {
 	e.queue = nil
 	e.cacheOK = false
 	e.holes = false
-	e.holeEnd = 0
 	e.snaps = e.snaps[:0]
-	e.lastOrder = e.lastOrder[:0]
 }
 
 func (e *conservativeEngine) arrive(env sim.Env, j *job.Job) {
@@ -121,13 +110,15 @@ func (e *conservativeEngine) arrive(env sim.Env, j *job.Job) {
 	e.schedule(env)
 }
 
-// complete handles a job completion: release the completed job's promised
-// occupancy tail from the cached profile (the early-completion hole) before
-// the scheduling pass reads it. Same-instant completion batches are
-// reconciled in schedule (the simulator releases the whole batch before the
-// first policy callback).
+// complete handles a job completion: the static engine releases the
+// completed job's promised occupancy tail from the cached profile (the
+// early-completion hole) before the scheduling pass reads it. Same-instant
+// completion batches are reconciled in schedule (the simulator releases the
+// whole batch before the first policy callback).
 func (e *conservativeEngine) complete(env sim.Env, j *job.Job) {
-	e.dropSnap(env.Now(), j.ID)
+	if !e.dynamic {
+		e.dropSnap(env.Now(), j.ID)
+	}
 	e.schedule(env)
 }
 
@@ -143,9 +134,6 @@ func (e *conservativeEngine) dropSnap(now int64, id job.ID) {
 				panic(fmt.Sprintf("sched: conservative cache release: %v", err))
 			}
 			e.holes = true
-			if s.ec > e.holeEnd {
-				e.holeEnd = s.ec
-			}
 		}
 		copy(e.snaps[i:], e.snaps[i+1:])
 		e.snaps = e.snaps[:len(e.snaps)-1]
@@ -191,8 +179,9 @@ func (e *conservativeEngine) reservations() map[job.ID]int64 {
 func (e *conservativeEngine) schedule(env sim.Env) {
 	now := env.Now()
 
-	// Classify the event against the cached profile.
-	dirty := !e.cacheOK || e.noCache
+	// The dynamic engine rebuilds at every event; the static one classifies
+	// the event against its cached profile.
+	dirty := e.dynamic || e.noCache || !e.cacheOK
 	if !dirty {
 		if len(e.snaps) != len(env.Running()) {
 			// A same-instant completion batch: the simulator released every
@@ -212,7 +201,7 @@ func (e *conservativeEngine) schedule(env sim.Env) {
 	}
 
 	if dirty {
-		e.rebuild(env, true)
+		e.rebuild(env)
 	} else {
 		e.prof.TrimBefore(now)
 		e.revalidate(env)
@@ -241,16 +230,12 @@ func (e *conservativeEngine) schedule(env sim.Env) {
 			if err := env.Start(q.job); err != nil {
 				panic(fmt.Sprintf("sched: start reserved job: %v", err))
 			}
-			// The reservation rectangle [res, res+est) stays in the cached
-			// profile: it is exactly the started job's promised running
-			// occupancy [now, now+estimate).
-			i := sort.Search(len(e.snaps), func(i int) bool { return e.snaps[i].ec >= now+q.job.Estimate })
-			e.snaps = append(e.snaps, runSnap{})
-			copy(e.snaps[i+1:], e.snaps[i:])
-			e.snaps[i] = runSnap{id: q.job.ID, nodes: q.job.Nodes, ec: now + q.job.Estimate}
-		}
-		if e.dynamic {
-			e.pruneLastOrder(due)
+			if !e.dynamic {
+				// The reservation rectangle [res, res+est) stays in the cached
+				// profile: it is exactly the started job's promised running
+				// occupancy [now, now+estimate).
+				e.addSnap(runSnap{id: q.job.ID, nodes: q.job.Nodes, ec: now + q.job.Estimate})
+			}
 		}
 	}
 	e.dueBuf = due
@@ -280,30 +265,13 @@ func (e *conservativeEngine) reconcileRemovals(env sim.Env) {
 	}
 }
 
-// pruneLastOrder removes started jobs from the dynamic engine's remembered
-// priority order, preserving the relative order of the rest.
-func (e *conservativeEngine) pruneLastOrder(started []*reservedJob) {
-	kept := e.lastOrder[:0]
-outer:
-	for _, id := range e.lastOrder {
-		for _, q := range started {
-			if q.job.ID == id {
-				continue outer
-			}
-		}
-		kept = append(kept, id)
-	}
-	e.lastOrder = kept
-}
-
-// rebuild is the from-scratch schedule — the pre-cache behaviour and the
-// fallback for estimate-overrun backoff: copy the environment's shared
-// availability profile, re-place every queued job (static: preserving
-// reservation order; dynamic: in queue priority order), then compress
-// (static only). With refreshSnaps it re-snapshots the running set the
-// profile now encodes; callers whose snapshot is already reconciled (the
-// dynamic holes path) skip that.
-func (e *conservativeEngine) rebuild(env sim.Env, refreshSnaps bool) {
+// rebuild is the from-scratch schedule: copy the environment's shared
+// availability profile and re-place every queued job. The dynamic engine
+// places in queue priority order and is done. The static engine places
+// preserving reservation order, compresses, and re-snapshots the running
+// set the profile now encodes; it is both the pre-cache behaviour and the
+// fallback for estimate-overrun backoff.
+func (e *conservativeEngine) rebuild(env sim.Env) {
 	now := env.Now()
 	e.prof.CopyFrom(env.Availability())
 
@@ -312,70 +280,63 @@ func (e *conservativeEngine) rebuild(env sim.Env, refreshSnaps bool) {
 		sort.SliceStable(e.queue, func(i, k int) bool {
 			return e.order.Less(env, e.queue[i].job, e.queue[k].job)
 		})
-	} else {
-		// Re-validate preserving reservation order (unreserved arrivals
-		// last), so existing reservations only move later under estimate
-		// overruns; then improve in queue priority order below.
-		sort.SliceStable(e.queue, func(i, k int) bool {
-			qi, qk := e.queue[i], e.queue[k]
-			if qi.hasRes != qk.hasRes {
-				return qi.hasRes
-			}
-			if qi.hasRes && qi.res != qk.res {
-				return qi.res < qk.res
-			}
-			return e.order.Less(env, qi.job, qk.job)
-		})
+		for _, q := range e.queue {
+			e.place(env, q, now)
+		}
+		return
 	}
+
+	// Re-validate preserving reservation order (unreserved arrivals last),
+	// so existing reservations only move later under estimate overruns;
+	// then improve in queue priority order below.
+	sort.SliceStable(e.queue, func(i, k int) bool {
+		qi, qk := e.queue[i], e.queue[k]
+		if qi.hasRes != qk.hasRes {
+			return qi.hasRes
+		}
+		if qi.hasRes && qi.res != qk.res {
+			return qi.res < qk.res
+		}
+		return e.order.Less(env, qi.job, qk.job)
+	})
 	for _, q := range e.queue {
 		after := now
-		if !e.dynamic && q.hasRes && q.res > now {
-			// Static re-validation does not improve reservations (that is
-			// the priority pass's privilege below); it only pushes them
-			// later when a running job's overrun makes the slot infeasible.
+		if q.hasRes && q.res > now {
+			// Re-validation does not improve reservations (that is the
+			// priority pass's privilege below); it only pushes them later
+			// when a running job's overrun makes the slot infeasible.
 			after = q.res
 		}
 		e.place(env, q, after)
 	}
-
 	e.holes = false
-	e.holeEnd = 0
-	if !e.dynamic {
-		e.improve(env)
-	} else {
-		e.lastOrder = e.lastOrder[:0]
-		for _, q := range e.queue {
-			e.lastOrder = append(e.lastOrder, q.job.ID)
-		}
-	}
+	e.improve(env)
 
-	if refreshSnaps {
-		// Snapshot the running set encoded in the rebuilt profile, sorted
-		// by promised release time (insertion into the reused buffer; the
-		// running set is small and mostly start-ordered).
-		e.snaps = e.snaps[:0]
-		for _, r := range env.Running() {
-			ec := r.EstimatedCompletion(now)
-			i := sort.Search(len(e.snaps), func(i int) bool { return e.snaps[i].ec >= ec })
-			e.snaps = append(e.snaps, runSnap{})
-			copy(e.snaps[i+1:], e.snaps[i:])
-			e.snaps[i] = runSnap{id: r.Job.ID, nodes: r.Job.Nodes, ec: ec}
-		}
+	// Snapshot the running set encoded in the rebuilt profile, sorted by
+	// promised release time.
+	e.snaps = e.snaps[:0]
+	for _, r := range env.Running() {
+		e.addSnap(runSnap{id: r.Job.ID, nodes: r.Job.Nodes, ec: r.EstimatedCompletion(now)})
 	}
 	e.cacheOK = true
 }
 
-// revalidate is the cached-profile event path: the running set is unchanged
-// (up to early-completion holes already released into the profile), so every
-// standing reservation re-fits exactly where it is and only the actual
-// changes are processed — fresh arrivals are placed into the standing
-// profile, and capacity growth triggers the static improvement passes or
-// the dynamic re-placement of the changed priority suffix.
+// addSnap inserts s into snaps, keeping them sorted by promised release
+// time (the running set is small and mostly start-ordered).
+func (e *conservativeEngine) addSnap(s runSnap) {
+	i := sort.Search(len(e.snaps), func(i int) bool { return e.snaps[i].ec >= s.ec })
+	e.snaps = append(e.snaps, runSnap{})
+	copy(e.snaps[i+1:], e.snaps[i:])
+	e.snaps[i] = s
+}
+
+// revalidate is the static engine's cached-profile event path: the running
+// set is unchanged (up to early-completion holes already released into the
+// profile), so every standing reservation re-fits exactly where it is and
+// only the actual changes are processed — fresh arrivals are placed into
+// the standing profile, and capacity growth triggers the improvement
+// passes.
 func (e *conservativeEngine) revalidate(env sim.Env) {
-	if e.dynamic {
-		e.revalidateDynamic(env)
-		return
-	}
 	// Place fresh arrivals (queue-priority order among themselves, matching
 	// the from-scratch revalidation sort, which puts unreserved jobs last).
 	fresh := e.impBuf[:0]
@@ -398,123 +359,8 @@ func (e *conservativeEngine) revalidate(env sim.Env) {
 		// feasible in place, but the priority pass may now compress them
 		// into the holes.
 		e.holes = false
-		e.holeEnd = 0
 		e.improve(env)
 	}
-}
-
-// revalidateDynamic re-places the suffix of the priority order that changed
-// since the last placement: the longest prefix with unchanged membership
-// and order keeps its reservations (placing it again would replay the
-// identical profile operations), everything after it is released and
-// re-placed in the new order.
-func (e *conservativeEngine) revalidateDynamic(env sim.Env) {
-	now := env.Now()
-	if e.holes {
-		// Capacity grew: reservations may move earlier, which is a replay of
-		// the whole priority-order placement by definition — but the hole is
-		// confined to [now, holeEnd), so the replay's prefix is provably
-		// verbatim until the first job that can actually reach the window.
-		e.partialRebuild(env)
-		return
-	}
-	// Fast path: starts only remove entries, so e.queue is still in the last
-	// placement's priority order. If every entry is placed and adjacent
-	// pairs are still ordered under the current (usage-dependent) order —
-	// Less is a strict total order, so pairwise order implies sortedness —
-	// the discipline's rebuild would replay identical placements: skip it.
-	intact := true
-	for i, q := range e.queue {
-		if !q.hasRes || (i > 0 && !e.order.Less(env, e.queue[i-1].job, q.job)) {
-			intact = false
-			break
-		}
-	}
-	if intact {
-		return
-	}
-	sort.SliceStable(e.queue, func(i, k int) bool {
-		return e.order.Less(env, e.queue[i].job, e.queue[k].job)
-	})
-	k := 0
-	for k < len(e.queue) && k < len(e.lastOrder) &&
-		e.queue[k].hasRes && e.queue[k].job.ID == e.lastOrder[k] {
-		k++
-	}
-	for _, q := range e.queue[k:] {
-		if !q.hasRes {
-			continue
-		}
-		if err := e.prof.Release(q.res, q.res+q.job.Estimate, q.job.Nodes); err != nil {
-			panic(fmt.Sprintf("sched: conservative cache release reservation: %v", err))
-		}
-	}
-	for _, q := range e.queue[k:] {
-		e.place(env, q, now)
-	}
-	e.lastOrder = e.lastOrder[:0]
-	for _, q := range e.queue {
-		e.lastOrder = append(e.lastOrder, q.job.ID)
-	}
-}
-
-// partialRebuild is the dynamic engine's early-completion-hole path: the
-// from-scratch replay (rebuild) re-places every queued job in priority
-// order, but the released capacity is confined to [now, holeEnd), so for
-// the prefix of the priority order that is unchanged since the last
-// placement the replay is a verbatim re-occupation — until the first job
-// whose earliest fit can land inside the hole window.
-//
-// Why the probe is exact: the last placement left each prefix job at the
-// earliest fit of its turn, and the post-hole profile differs from that
-// steady state only on [now, holeEnd). A prefix job's replayed fit can
-// therefore only move earlier, and any start s in [holeEnd, res) would have
-// been a fit before the hole too — contradicting res being earliest — so
-// an improvement exists iff one starts inside [now, min(res, holeEnd)),
-// which is exactly what EarliestFitBefore probes (the fitted rectangle may
-// still extend past holeEnd; only the start is bounded). Jobs at or past
-// the first improvement, order changes, and fresh arrivals are re-placed
-// with the full search, identical to the from-scratch replay from that
-// point on. The snapshot is already reconciled (complete dropped the
-// finished jobs, the clock crossed no promised release), so it carries
-// over — matching rebuild(env, false) semantics.
-func (e *conservativeEngine) partialRebuild(env sim.Env) {
-	now := env.Now()
-	sort.SliceStable(e.queue, func(i, k int) bool {
-		return e.order.Less(env, e.queue[i].job, e.queue[k].job)
-	})
-	stable := 0
-	for stable < len(e.queue) && stable < len(e.lastOrder) &&
-		e.queue[stable].hasRes && e.queue[stable].job.ID == e.lastOrder[stable] {
-		stable++
-	}
-	e.prof.CopyFrom(env.Availability())
-	cut := stable
-	for i := 0; i < stable; i++ {
-		q := e.queue[i]
-		est := q.job.Estimate
-		limit := q.res
-		if e.holeEnd < limit {
-			limit = e.holeEnd
-		}
-		if _, ok := e.prof.EarliestFitBefore(now, limit, est, q.job.Nodes); ok {
-			cut = i // first job that reaches the hole: replay live from here
-			break
-		}
-		// No start in the window: the replay keeps this reservation verbatim.
-		if err := e.prof.Occupy(q.res, q.res+est, q.job.Nodes); err != nil {
-			panic(fmt.Sprintf("sched: partial rebuild re-occupy: %v", err))
-		}
-	}
-	for _, q := range e.queue[cut:] {
-		e.place(env, q, now)
-	}
-	e.lastOrder = e.lastOrder[:0]
-	for _, q := range e.queue {
-		e.lastOrder = append(e.lastOrder, q.job.ID)
-	}
-	e.holes = false
-	e.holeEnd = 0
 }
 
 // place reserves q at the earliest fit of its rectangle no earlier than

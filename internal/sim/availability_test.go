@@ -37,14 +37,13 @@ func (p *availProbe) Complete(env Env, j *job.Job) {
 func referenceAvailability(t *testing.T, env Env) *profile.Profile {
 	t.Helper()
 	now := env.Now()
-	var ref profile.Profile
-	ref.Reset(now, env.SystemSize(), env.SystemSize())
+	ref := profile.New(now, env.SystemSize(), env.SystemSize())
 	for _, r := range env.Running() {
 		if err := ref.Occupy(now, r.EstimatedCompletion(now), r.Job.Nodes); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return &ref
+	return ref
 }
 
 // checkAgainstReference fails the test unless the shared profile equals the
