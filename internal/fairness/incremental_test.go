@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"fairsched/internal/fairshare"
 	"fairsched/internal/job"
+	"fairsched/internal/profile"
 	"fairsched/internal/sched"
 	"fairsched/internal/sim"
 	"fairsched/internal/workload"
@@ -140,6 +142,86 @@ func TestHybridFSTMatchesReferenceRandomized(t *testing.T) {
 			}
 		}
 	}
+}
+
+// probeEnv is a minimal sim.Env for driving the hybrid engine standalone:
+// a contended system (every node claimed by staggered running jobs) with a
+// deep queue, so one JobArrived exercises the full reference list schedule.
+type probeEnv struct {
+	now        int64
+	systemSize int
+	free       int
+	running    []sim.RunningJob
+	fs         *fairshare.Tracker
+}
+
+func (e *probeEnv) Now() int64                     { return e.now }
+func (e *probeEnv) SystemSize() int                { return e.systemSize }
+func (e *probeEnv) FreeNodes() int                 { return e.free }
+func (e *probeEnv) Running() []sim.RunningJob      { return e.running }
+func (e *probeEnv) Fairshare() *fairshare.Tracker  { return e.fs }
+func (e *probeEnv) Availability() *profile.Profile { return nil } // unused by the engine
+func (e *probeEnv) Start(*job.Job) error           { return nil } // the probe never starts jobs
+
+// NewArrivalProbe assembles a hybrid engine against a synthetic contended
+// state: `running` jobs occupying the whole machine with staggered
+// completions and `queued` jobs from users with distinct decayed usages.
+// Probe.Arrive replays one arrival of the probe job — the engine's entire
+// steady-state hot path.
+func NewArrivalProbe(queued, running int) *ArrivalProbe {
+	const systemSize = 1024
+	env := &probeEnv{systemSize: systemSize, now: 1 << 20}
+	env.fs = fairshare.NewTracker(fairshare.DefaultConfig(), 0)
+	if running < 1 {
+		running = 1
+	}
+	nodes := systemSize / running
+	if nodes < 1 {
+		nodes = 1
+	}
+	h := NewHybridFST()
+	id := job.ID(1)
+	for i := 0; i < running; i++ {
+		n := nodes
+		if i == running-1 {
+			n = systemSize - nodes*(running-1) // absorb the remainder
+		}
+		// Staggered completions: each running job frees its nodes at a
+		// distinct future instant, so the availability multiset stays deep.
+		j := &job.Job{ID: id, User: i, Submit: 0, Runtime: int64(3600 + 60*i), Estimate: 7200, Nodes: n}
+		env.running = append(env.running, sim.RunningJob{Job: j, Start: env.now})
+		h.JobStarted(env, j)
+		id++
+	}
+	p := &ArrivalProbe{env: env, engine: h}
+	for i := 0; i < queued; i++ {
+		env.fs.Charge(1000+i, float64(i)*97.0)
+		p.queue = append(p.queue, &job.Job{
+			ID: id, User: 1000 + i, Submit: int64(i), Runtime: 1800, Estimate: 3600,
+			Nodes: 1 + i%64,
+		})
+		id++
+	}
+	p.arriving = &job.Job{
+		ID: id, User: 1000 + queued/2, Submit: env.now, Runtime: 1800, Estimate: 3600,
+		Nodes: 32,
+	}
+	return p
+}
+
+// ArrivalProbe replays the hybrid engine's per-arrival hot path against a
+// fixed contended state.
+type ArrivalProbe struct {
+	env      *probeEnv
+	engine   *HybridFST
+	queue    []*job.Job
+	arriving *job.Job
+}
+
+// Arrive runs one JobArrived against the probe state.
+func (p *ArrivalProbe) Arrive() {
+	delete(p.engine.fst, p.arriving.ID) // keep the table size fixed across replays
+	p.engine.JobArrived(p.env, p.arriving, p.queue)
 }
 
 // BenchmarkHybridFST measures the engine's per-arrival hot path on a

@@ -1,7 +1,9 @@
 package fairshare
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -179,7 +181,7 @@ func TestTrackerMatchesMapReference(t *testing.T) {
 	}
 }
 
-// benchTracker charges n users once: the Snapshot benchmarks' fixture.
+// benchTracker charges n users once: the benchmarks' fixture.
 func benchTracker(n int) *Tracker {
 	tr := NewTracker(DefaultConfig(), 0)
 	for u := 0; u < n; u++ {
@@ -204,5 +206,27 @@ func BenchmarkAppendSnapshot(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf = tr.AppendSnapshot(buf)
+	}
+}
+
+// BenchmarkTrackerBytesPerUser reports the tracker's retained heap per
+// charged user (B/user) as the population grows: the per-user index cost
+// the paged layout bounds (DESIGN.md §15).
+func BenchmarkTrackerBytesPerUser(b *testing.B) {
+	for _, users := range []int{640, 100_000, 1_000_000} {
+		b.Run(fmt.Sprintf("users%d", users), func(b *testing.B) {
+			var perUser float64
+			for i := 0; i < b.N; i++ {
+				var before, after runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				tr := benchTracker(users)
+				runtime.GC()
+				runtime.ReadMemStats(&after)
+				perUser = float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(users)
+				runtime.KeepAlive(tr)
+			}
+			b.ReportMetric(perUser, "B/user")
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"testing"
 
 	"fairsched/internal/job"
@@ -25,27 +26,31 @@ func benchWorkload(b *testing.B) []*job.Job {
 // every reservation and backfill check reads the per-event availability
 // profile instead of re-deriving release times).
 func benchPolicyEvents(b *testing.B, spec string) {
-	benchPolicyEventsWith(b, func() *Composite { return MustParse(spec) })
+	benchPolicyEventsWith(b, benchWorkload(b), 250, func() *Composite { return MustParse(spec) })
 }
 
 // benchPolicyEventsRef runs the static conservative policy with the
 // revalidation cache disabled — the from-scratch reference path — so the
 // cache's win is measurable inside one binary.
 func benchPolicyEventsRef(b *testing.B, spec string) {
-	benchPolicyEventsWith(b, func() *Composite {
+	benchPolicyEventsWith(b, benchWorkload(b), 250, func() *Composite {
 		pol := MustParse(spec)
 		pol.engine.(*conservativeEngine).noCache = true
 		return pol
 	})
 }
 
-func benchPolicyEventsWith(b *testing.B, mk func() *Composite) {
-	jobs := benchWorkload(b)
+// benchPolicyEventsWith reports ns/event simulating jobs on a machine of
+// the given size under the policy mk builds. Preemptive specs get a
+// preempt-capable simulator, as core.Execute gives them.
+func benchPolicyEventsWith(b *testing.B, jobs []*job.Job, size int, mk func() *Composite) {
 	b.ReportAllocs()
 	var events int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sim.New(sim.Config{SystemSize: 250}, mk()).Run(jobs)
+		pol := mk()
+		cfg := sim.Config{SystemSize: size, Preemptable: pol.Spec().PreemptTrigger != ""}
+		res, err := sim.New(cfg, pol).Run(jobs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -70,3 +75,20 @@ func BenchmarkEventConservativeRef(b *testing.B) { benchPolicyEventsRef(b, "cons
 func BenchmarkEventDepth8(b *testing.B)          { benchPolicyEvents(b, "depth8") }
 func BenchmarkEventListFairshare(b *testing.B)   { benchPolicyEvents(b, "list.fairshare") }
 func BenchmarkEventSJFEasy(b *testing.B)         { benchPolicyEvents(b, "easy.sjf") }
+func BenchmarkEventSRPT(b *testing.B)            { benchPolicyEvents(b, "srpt") }
+
+// BenchmarkEventPopulation is per-event cost under list.fairshare as the
+// user population grows at a fixed 20k-job budget on 1000 nodes, so only
+// the per-user index cost varies between rows. DESIGN.md §15's bar: the
+// 10^5-user row within 1.5x of the 640-user (trace-scale) row.
+func BenchmarkEventPopulation(b *testing.B) {
+	for _, users := range []int{640, 100_000} {
+		b.Run(fmt.Sprintf("users%d", users), func(b *testing.B) {
+			jobs, err := workload.GeneratePopulation(workload.PopConfig{Seed: 42, Users: users, Jobs: 20_000})
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchPolicyEventsWith(b, jobs, 1000, func() *Composite { return MustParse("list.fairshare") })
+		})
+	}
+}

@@ -53,11 +53,40 @@ func reference(t testing.TB, spec string) sim.Policy {
 	return pol
 }
 
-// runRecords executes one policy over a workload and returns the full
-// records plus the event count.
+// tierDeadlines gives user u a wait target of u%4 hours: three deadline
+// tiers plus untargeted users (u%4 == 0).
+type tierDeadlines struct{}
+
+func (tierDeadlines) WaitTarget(user int) (int64, bool) {
+	return int64(user%4) * 3600, user%4 != 0
+}
+
+// breachLog stands in for the SLO observer's breach-risk signal: a user is
+// at risk once one of its jobs started past its deadline, so the edf order
+// reorders on observer state as the run goes.
+type breachLog struct {
+	sim.BaseObserver
+	breached map[int]bool
+}
+
+func (b *breachLog) JobStarted(env sim.Env, j *job.Job) {
+	if w, ok := (tierDeadlines{}).WaitTarget(j.User); ok && env.Now() > j.Submit+w {
+		b.breached[j.User] = true
+	}
+}
+
+func (b *breachLog) UserAtRisk(user int) bool { return b.breached[user] }
+
+// runRecords executes one policy over a workload under an SLO context
+// (inert for every order but edf) and returns the full records plus the
+// event count.
 func runRecords(t testing.TB, pol sim.Policy, cfg sim.Config, jobs []*job.Job) *sim.Result {
 	t.Helper()
-	res, err := sim.New(cfg, pol).Run(jobs)
+	risk := &breachLog{breached: map[int]bool{}}
+	pol.(interface {
+		SetSLOContext(DeadlineSource, BreachRisk)
+	}).SetSLOContext(tierDeadlines{}, risk)
+	res, err := sim.New(cfg, pol, risk).Run(jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +121,9 @@ func assertSameSchedule(t *testing.T, name string, got, want *sim.Result) {
 // cache's full-rebuild fallback), and with max-runtime splitting and kill
 // policies in play. The dynamic engine's only cache is the simulator's
 // shared availability profile, so its reference rebuilds that profile from
-// the running set at every call.
+// the running set at every call. order=edf runs over consdyn only: its
+// breach-risk promotion reorders on observer state, which the dynamic
+// engine's per-event rebuild reads afresh.
 func TestConservativeCacheMatchesFromScratch(t *testing.T) {
 	h := int64(3600)
 	type tc struct {
@@ -108,7 +139,7 @@ func TestConservativeCacheMatchesFromScratch(t *testing.T) {
 		{"kill-always", sim.Config{SystemSize: 100, Kill: sim.KillAlways, Validate: true}, 0.04},
 		{"kill-when-needed", sim.Config{SystemSize: 100, Kill: sim.KillWhenNeeded, Validate: true}, 0.04},
 	}
-	for _, spec := range []string{"cons.nomax", "consdyn.nomax", "cons.sjf", "consdyn.lxf"} {
+	for _, spec := range []string{"cons.nomax", "consdyn.nomax", "cons.sjf", "consdyn.lxf", "order=edf+bf=consdyn"} {
 		for _, c := range cases {
 			t.Run(spec+"/"+c.name, func(t *testing.T) {
 				jobs, err := workload.Generate(workload.Config{Seed: 11, Scale: c.scale, SystemSize: c.cfg.SystemSize})

@@ -257,12 +257,9 @@ func (s Spec) Validate() error {
 	} else if s.PreemptVictim != "" {
 		return &componentErr{"preempt", fmt.Errorf("preempt victim %q without a preempt trigger", s.PreemptVictim)}
 	}
-	if s.Order == "edf" {
-		switch s.Backfill {
-		case BackfillConservative, BackfillConservativeDynamic:
-			return &componentErr{"order", fmt.Errorf(
-				"order=edf is incompatible with bf=%s (the conservative revalidation cache assumes priorities change only with the clock and usage; deadline-risk promotion reorders on observer state it cannot see)", s.Backfill)}
-		}
+	if s.Order == "edf" && s.Backfill == BackfillConservative {
+		return &componentErr{"order", errors.New(
+			"order=edf is incompatible with bf=conservative (the conservative revalidation cache assumes priorities change only with the clock and usage; deadline-risk promotion reorders on observer state it cannot see)")}
 	}
 	return nil
 }
@@ -341,8 +338,8 @@ func (s Spec) String() string {
 // Example: "order=fairshare+bf=easy+starve=24h.nonheavy+depth=2". Parse
 // errors name the byte position of the offending component; component
 // combinations the composition rules reject (preempt= over conservative
-// backfilling, order=edf over the revalidation cache, ...) are positional
-// errors too.
+// backfilling, order=edf over the static revalidation cache, ...) are
+// positional errors too.
 func ParseSpec(spec string) (Spec, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {

@@ -49,6 +49,8 @@ func TestParseSpecChains(t *testing.T) {
 			Spec{Order: "fcfs", Backfill: BackfillDepth, Depth: 2, PreemptTrigger: PreemptReserve, PreemptVictim: VictimLowPri}},
 		{"order=edf+bf=none",
 			Spec{Order: "edf", Backfill: BackfillNone}},
+		{"order=edf+bf=consdyn", // consdyn rebuilds every event: no cache to go stale
+			Spec{Order: "edf", Backfill: BackfillConservativeDynamic}},
 	}
 	for _, tc := range cases {
 		got, err := ParseSpec(tc.in)
@@ -86,7 +88,6 @@ func TestParseSpecErrorsCarryPosition(t *testing.T) {
 		{"order=fcfs+bf=easy+starve=24h+preempt=reserve", "position 30", "preempt is incompatible with starve"},
 		{"order=fcfs+bf=easy+preempt=reserve+max=72h", "position 19", "preempt is incompatible with max"},
 		{"order=edf+bf=conservative", "position 0", "order=edf is incompatible with bf=conservative"},
-		{"order=edf+bf=consdyn", "position 0", "order=edf is incompatible with bf=consdyn"},
 	}
 	for _, tc := range cases {
 		_, err := ParseSpec(tc.in)
