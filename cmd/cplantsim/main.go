@@ -49,6 +49,10 @@ func main() {
 		keepCanc  = flag.Bool("keep-cancelled", false, "keep cancelled (status 5) trace records, the pre-filtering behaviour")
 	)
 	flag.Parse()
+	decayCfg := fairshare.Config{DecayFactor: *decay, DecayInterval: *interval}
+	if err := decayCfg.Validate(); err != nil {
+		fatal(err)
+	}
 
 	if *list {
 		fmt.Println(strings.Join(core.SpecKeys(), "\n"))
@@ -92,7 +96,7 @@ func main() {
 
 	cfg := core.StudyConfig{
 		SystemSize:     systemSize,
-		Fairshare:      fairshare.Config{DecayFactor: *decay, DecayInterval: *interval},
+		Fairshare:      decayCfg,
 		FairshareEpoch: epoch,
 		Equality:       *equality,
 	}

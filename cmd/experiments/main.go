@@ -97,6 +97,10 @@ func main() {
 	flag.Var(&scenarios, "scenario", "campaign: a scenario name or transform chain (repeatable; see -list-scenarios)")
 	flag.Var(&policies, "policy", "campaign: a policy name or component chain (repeatable; see -list-policies; default: the paper's nine)")
 	flag.Parse()
+	decayCfg := fairshare.Config{DecayFactor: *decay}
+	if err := decayCfg.Validate(); err != nil {
+		fatal(err)
+	}
 
 	if *listPols {
 		if *markdown {
@@ -194,7 +198,7 @@ func main() {
 
 	study := core.StudyConfig{
 		SystemSize: *nodes,
-		Fairshare:  fairshare.Config{DecayFactor: *decay},
+		Fairshare:  decayCfg,
 	}
 	convOpts := swf.ConvertOptions{KeepCancelled: *keepCanc}
 
@@ -297,7 +301,7 @@ func main() {
 		experiments.WriteMarkdownReport(os.Stdout, res)
 	}
 	if *mcmp {
-		rows, err := experiments.CompareMetrics(study, core.AllSpecs(), res.Jobs, false, *parallel)
+		rows, err := experiments.CompareMetrics(study, res.Runs, res.Jobs, false, *parallel)
 		if err != nil {
 			fatal(err)
 		}

@@ -65,6 +65,10 @@ func main() {
 	flag.Var(&claimIDs, "claim", "run one registered claim by id (repeatable)")
 	flag.Var(&specTexts, "spec", "run an ad-hoc claim written in the grammar (repeatable)")
 	flag.Parse()
+	decayCfg := fairshare.Config{DecayFactor: *decay}
+	if err := decayCfg.Validate(); err != nil {
+		fatal(err)
+	}
 
 	if *list {
 		for _, s := range hypothesis.Registered() {
@@ -85,7 +89,7 @@ func main() {
 	opt := hypothesis.CampaignOptions{
 		Study: core.StudyConfig{
 			SystemSize: *nodes,
-			Fairshare:  fairshare.Config{DecayFactor: *decay},
+			Fairshare:  decayCfg,
 		},
 		Parallel:       *parallel,
 		PolicyParallel: *polPar,

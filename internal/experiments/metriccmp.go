@@ -34,14 +34,15 @@ type MetricRow struct {
 	SabinComputed      bool
 }
 
-// CompareMetrics runs each spec over the workload and measures its
-// schedule with the hybrid FST, the CONS-P FST and (optionally, expensive)
-// the Sabin no-later-arrivals FST. The per-spec measurements fan out on at
-// most parallel workers (<= 0: one per CPU); rows come back in spec order.
-// A failing spec does not discard the others: its row is returned
-// zero-valued (Policy == "") alongside the aggregated error — on a non-nil
-// error, skip rows with an empty Policy before rendering.
-func CompareMetrics(cfg core.StudyConfig, specs []core.Spec, jobs []*job.Job, withSabin bool, parallel int) ([]MetricRow, error) {
+// CompareMetrics measures each run's schedule (runs simulated over jobs
+// under cfg, e.g. Results.Runs) with the hybrid FST, the CONS-P FST and
+// (optionally, expensive) the Sabin no-later-arrivals FST, which
+// re-simulates the run's spec once per job. The per-run measurements fan
+// out on at most parallel workers (<= 0: one per CPU); rows come back in
+// run order. A failing run does not discard the others: its row is
+// returned zero-valued (Policy == "") alongside the aggregated error — on
+// a non-nil error, skip rows with an empty Policy before rendering.
+func CompareMetrics(cfg core.StudyConfig, runs []*core.Run, jobs []*job.Job, withSabin bool, parallel int) ([]MetricRow, error) {
 	if cfg.SystemSize <= 0 {
 		cfg.SystemSize = 1000
 	}
@@ -49,14 +50,10 @@ func CompareMetrics(cfg core.StudyConfig, specs []core.Spec, jobs []*job.Job, wi
 	if err != nil {
 		return nil, err
 	}
-	return sweep.Map(parallel, specs,
-		func(s core.Spec) string { return s.Key },
-		func(_ int, spec core.Spec) (MetricRow, error) {
-			run, err := core.Execute(cfg, spec, jobs)
-			if err != nil {
-				return MetricRow{}, err
-			}
-			row := MetricRow{Policy: spec.Key}
+	return sweep.Map(parallel, runs,
+		func(r *core.Run) string { return r.Spec.Key },
+		func(_ int, run *core.Run) (MetricRow, error) {
+			row := MetricRow{Policy: run.Spec.Key}
 
 			hybrid := fairness.Measure(run.Result.Records, run.FST)
 			row.HybridPercentUnfair = hybrid.PercentUnfair()
@@ -67,7 +64,7 @@ func CompareMetrics(cfg core.StudyConfig, specs []core.Spec, jobs []*job.Job, wi
 			row.ConsPAvgMiss = cp.AvgMissTime()
 
 			if withSabin {
-				sabin, err := fairness.Sabin(core.Starts(cfg, spec), jobs)
+				sabin, err := fairness.Sabin(core.Starts(cfg, run.Spec), jobs)
 				if err != nil {
 					return MetricRow{}, err
 				}

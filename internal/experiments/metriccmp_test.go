@@ -6,35 +6,58 @@ import (
 	"testing"
 
 	"fairsched/internal/core"
+	"fairsched/internal/job"
 	"fairsched/internal/workload"
 )
 
-func TestCompareMetricsWithoutSabin(t *testing.T) {
-	jobs, err := workload.Generate(workload.Config{Seed: 2, Scale: 0.05, SystemSize: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs := []core.Spec{}
-	for _, key := range []string{"cplant24.nomax.all", "consdyn.nomax"} {
+// runsFor executes the given registry policies over jobs on a 100-node
+// machine.
+func runsFor(t *testing.T, jobs []*job.Job, keys ...string) (core.StudyConfig, []*core.Run) {
+	t.Helper()
+	cfg := core.StudyConfig{SystemSize: 100}
+	var specs []core.Spec
+	for _, key := range keys {
 		s, err := core.SpecByKey(key)
 		if err != nil {
 			t.Fatal(err)
 		}
 		specs = append(specs, s)
 	}
-	rows, err := CompareMetrics(core.StudyConfig{SystemSize: 100}, specs, jobs, false, 2)
+	runs, err := core.ExecuteAll(cfg, specs, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg, runs
+}
+
+// TestCompareMetricsWithoutSabin measures the supplied runs rather than
+// re-simulating them: the hybrid column is the study summary's own
+// unfairness for the same run.
+func TestCompareMetricsWithoutSabin(t *testing.T) {
+	jobs, err := workload.Generate(workload.Config{Seed: 2, Scale: 0.05, SystemSize: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, runs := runsFor(t, jobs, "cplant24.nomax.all", "consdyn.nomax")
+	rows, err := CompareMetrics(cfg, runs, jobs, false, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 2 {
 		t.Fatalf("got %d rows", len(rows))
 	}
-	for _, r := range rows {
+	for i, r := range rows {
+		if r.Policy != runs[i].Spec.Key {
+			t.Errorf("row %d is %s, want %s (run order)", i, r.Policy, runs[i].Spec.Key)
+		}
 		if r.SabinComputed {
 			t.Errorf("%s: sabin computed without being requested", r.Policy)
 		}
-		if r.HybridPercentUnfair < 0 || r.HybridPercentUnfair > 100 {
-			t.Errorf("%s: hybrid percent out of range: %v", r.Policy, r.HybridPercentUnfair)
+		if got, want := r.HybridPercentUnfair, runs[i].Summary.PercentUnfair; got != want {
+			t.Errorf("%s: hybrid %% unfair %v, the run's summary says %v", r.Policy, got, want)
+		}
+		if got, want := r.HybridAvgMiss, runs[i].Summary.AvgMissTime; got != want {
+			t.Errorf("%s: hybrid avg miss %v, the run's summary says %v", r.Policy, got, want)
 		}
 		if r.ConsPAvgMiss < 0 {
 			t.Errorf("%s: negative CONS-P miss", r.Policy)
@@ -48,11 +71,8 @@ func TestCompareMetricsWithSabin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := core.SpecByKey("easy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := CompareMetrics(core.StudyConfig{SystemSize: 100}, []core.Spec{spec}, jobs, true, 1)
+	cfg, runs := runsFor(t, jobs, "easy")
+	rows, err := CompareMetrics(cfg, runs, jobs, true, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

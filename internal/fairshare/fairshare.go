@@ -21,6 +21,20 @@ type Config struct {
 	DecayInterval int64   // seconds between decays; 0 means 24h
 }
 
+// Validate rejects a configuration the tracker would otherwise silently
+// replace: a decay factor outside (0,1] other than 0, which means the
+// default, or a negative decay interval (0 means 24h). The tracker itself
+// keeps mapping zero values to the defaults.
+func (c Config) Validate() error {
+	if c.DecayFactor != 0 && !(c.DecayFactor > 0 && c.DecayFactor <= 1) {
+		return fmt.Errorf("fairshare: decay factor %v out of range (want 0 < factor <= 1)", c.DecayFactor)
+	}
+	if c.DecayInterval < 0 {
+		return fmt.Errorf("fairshare: decay interval %ds is negative", c.DecayInterval)
+	}
+	return nil
+}
+
 // DefaultConfig returns the documented defaults.
 func DefaultConfig() Config {
 	return Config{DecayFactor: 0.5, DecayInterval: 24 * 3600}

@@ -250,3 +250,21 @@ func TestQuickUsageNonNegativeAndMonotoneDecay(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestConfigValidate: zero values keep meaning the defaults, and anything
+// withDefaults would silently replace is rejected instead.
+func TestConfigValidate(t *testing.T) {
+	for _, c := range []Config{{}, DefaultConfig(), {DecayFactor: 1}, {DecayFactor: 1e-9, DecayInterval: 1}} {
+		if err := c.Validate(); err != nil {
+			t.Errorf("%+v rejected: %v", c, err)
+		}
+	}
+	for _, c := range []Config{
+		{DecayFactor: 2}, {DecayFactor: -0.5}, {DecayFactor: 1.0000001},
+		{DecayFactor: math.NaN()}, {DecayFactor: math.Inf(1)}, {DecayInterval: -1},
+	} {
+		if err := c.Validate(); err == nil {
+			t.Errorf("%+v accepted", c)
+		}
+	}
+}

@@ -2,20 +2,25 @@ package sched
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"fairsched/internal/job"
+	"fairsched/internal/profile"
 	"fairsched/internal/sim"
 )
 
 // aggressiveEngine is the aggressive backfill family — the disciplines
 // whose reservations (if any) are rebuilt from the running jobs at every
-// scheduling event:
+// scheduling event. Every member runs the same reserve-then-backfill pass
+// (backfill) and differs only in k, the number of main-queue jobs it
+// reserves:
 //
-//   - mode noguarantee: any main-queue job that fits starts, in queue
-//     order, with no internal reservations (CPlant §2.1);
-//   - mode easy: only the blocked main-queue head holds a reservation
+//   - noguarantee, k = 0: any main-queue job that fits starts, in queue
+//     order, with no reservations (CPlant §2.1);
+//   - easy, k = 1: only the blocked main-queue head holds a reservation
 //     (Lifka's EASY, Figure 2 semantics);
-//   - mode depth: the first depth main-queue heads hold reservations (the
+//   - depth, k = N: the first N main-queue heads hold reservations (the
 //     spectrum between aggressive and conservative backfilling).
 //
 // The optional starvation component composes with noguarantee and easy: a
@@ -27,8 +32,7 @@ import (
 type aggressiveEngine struct {
 	comp   *Composite
 	order  Order
-	mode   string // BackfillNoGuarantee, BackfillEASY or BackfillDepth
-	depth  int    // reserved queue heads in mode depth
+	k      int // main-queue reservations: 0 noguarantee, 1 easy, N depth
 	starve *starvation
 
 	main    []*job.Job
@@ -67,198 +71,126 @@ func (e *aggressiveEngine) queued() []*job.Job {
 func (e *aggressiveEngine) schedule(env sim.Env) {
 	if e.starve != nil {
 		e.main, e.starved = e.starve.promote(env, e.main, e.starved)
-		// Drain starvation-queue heads that fit right now.
-		for len(e.starved) > 0 && e.starved[0].Nodes <= env.FreeNodes() {
-			var head *job.Job
-			e.starved, head = popHead(e.starved)
-			if err := env.Start(head); err != nil {
-				panic(err)
-			}
-		}
+		// Starved heads start before the main queue is sorted: a start can
+		// move what an order reads (edf's breach-risk signal).
+		startHeads(env, &e.starved)
 	}
 	sortQueue(env, e.order, e.main)
 	if len(e.starved) == 0 {
-		switch e.mode {
-		case BackfillNoGuarantee:
-			// No reservations at all: start everything that fits, in queue
-			// order (no-guarantee backfilling).
-			e.main = startAllFitting(env, e.main)
-		case BackfillEASY:
-			e.easyPass(env)
-		default: // BackfillDepth
-			e.depthPass(env)
-		}
+		e.backfill(env, &e.main, e.k, nil)
 		return
 	}
-	e.starvedPass(env)
+	e.backfill(env, &e.starved, e.starve.depth, &e.main)
 }
 
-// startAllFitting starts every job that fits the free nodes, in queue
-// order, and returns the jobs kept queued.
-func startAllFitting(env sim.Env, q []*job.Job) []*job.Job {
-	kept := q[:0]
-	for _, c := range q {
-		if c.Nodes <= env.FreeNodes() {
-			if err := env.Start(c); err != nil {
-				panic(err)
-			}
+// backfill is the family's one scheduling pass. It starts q's heads while
+// they fit, reserves q's next k jobs, then starts every later job of q, and
+// then every job of rest (nil for none), that delays none of the
+// reservations.
+func (e *aggressiveEngine) backfill(env sim.Env, q *[]*job.Job, k int, rest *[]*job.Job) {
+	startHeads(env, q)
+	if len(*q) == 0 && rest == nil {
+		return // nothing to reserve or backfill: skip the guard's set-up
+	}
+	n := min(k, len(*q))
+	g := e.newGuard(env, (*q)[:n], k)
+	g.startAdmitted(q, n)
+	if rest != nil {
+		g.startAdmitted(rest, 0)
+	}
+}
+
+// guard admits the backfill candidates of one pass: a candidate may start
+// now only if it fits the free nodes and delays none of the pass's
+// reservations. It picks its rule from the reservation count k alone:
+//
+//   - k <= 1, the shadow rule: the reservation (if any) starts at resAt,
+//     read straight off the shared availability profile, and a candidate
+//     must end by resAt or fit in shadow, the nodes still spare then
+//     (k = 0 means resAt = +∞);
+//   - k >= 2, the profile rule: the reservations sit in the composite's
+//     scratch copy of the shared profile, and a candidate's rectangle must
+//     fit it starting now.
+//
+// For one reservation the rules decide alike: the shared profile only
+// gains capacity over time, so a candidate squeezes the reservation
+// hardest at resAt, where the profile rule's check is the shadow rule's.
+// TestSingleReservationGuardsAgree checks this differentially.
+type guard struct {
+	env    sim.Env
+	now    int64
+	resAt  int64
+	shadow int
+	prof   *profile.Profile // nil on the shadow rule
+}
+
+// newGuard reserves the jobs of reserved, in order, for a k-reservation
+// pass.
+func (e *aggressiveEngine) newGuard(env sim.Env, reserved []*job.Job, k int) guard {
+	g := guard{env: env, now: env.Now(), resAt: math.MaxInt64}
+	if k <= 1 {
+		if len(reserved) == 1 {
+			g.resAt, g.shadow = reservation(env, reserved[0].Nodes)
+		}
+		return g
+	}
+	g.prof = e.comp.scratchFrom(env)
+	for _, r := range reserved {
+		reserve(g.prof, g.now, r)
+	}
+	return g
+}
+
+// reserve places r in prof at its earliest fit and returns the start.
+func reserve(prof *profile.Profile, now int64, r *job.Job) int64 {
+	s, ok := prof.EarliestFit(now, r.Estimate, r.Nodes)
+	if !ok {
+		panic(fmt.Sprintf("sched: reservation impossible for %v", r))
+	}
+	if err := prof.Occupy(s, s+r.Estimate, r.Nodes); err != nil {
+		panic(fmt.Sprintf("sched: reserve: %v", err))
+	}
+	return s
+}
+
+// admit reports whether c may start now and, if so, charges it against
+// the reservations.
+func (g *guard) admit(c *job.Job) bool {
+	if c.Nodes > g.env.FreeNodes() {
+		return false
+	}
+	end := g.now + c.Estimate
+	if g.prof != nil {
+		if s, ok := g.prof.EarliestFit(g.now, c.Estimate, c.Nodes); !ok || s != g.now {
+			return false
+		}
+		if err := g.prof.Occupy(g.now, end, c.Nodes); err != nil {
+			panic(fmt.Sprintf("sched: backfill: %v", err))
+		}
+		return true
+	}
+	if end > g.resAt {
+		if c.Nodes > g.shadow {
+			return false
+		}
+		g.shadow -= c.Nodes
+	}
+	return true
+}
+
+// startAdmitted starts, in queue order, every job of (*q)[from:] the guard
+// admits. Each leaves the queue before it starts, so observers reading
+// Queued() from JobStarted see the queue without it.
+func (g *guard) startAdmitted(q *[]*job.Job, from int) {
+	for i := from; i < len(*q); {
+		c := (*q)[i]
+		if !g.admit(c) {
+			i++
 			continue
 		}
-		kept = append(kept, c)
+		*q = slices.Delete(*q, i, i+1) // also clears the vacated tail slot
+		mustStart(g.env, c)
 	}
-	clear(q[len(kept):]) // drop started jobs' pointers from the vacated tail
-	return kept
-}
-
-// easyPass runs aggressive backfilling on the main queue: start heads while
-// they fit, give the blocked head the only reservation, backfill the rest
-// against it.
-func (e *aggressiveEngine) easyPass(env sim.Env) {
-	for len(e.main) > 0 && e.main[0].Nodes <= env.FreeNodes() {
-		var head *job.Job
-		e.main, head = popHead(e.main)
-		if err := env.Start(head); err != nil {
-			panic(err)
-		}
-	}
-	if len(e.main) == 0 {
-		return
-	}
-	resAt, shadow := reservation(env, e.main[0].Nodes)
-	rest := e.main[1:]
-	kept := rest[:0]
-	for _, c := range rest {
-		if canBackfill(env, c, resAt, shadow) {
-			if env.Now()+c.Estimate > resAt {
-				shadow -= c.Nodes
-			}
-			if err := env.Start(c); err != nil {
-				panic(err)
-			}
-			continue
-		}
-		kept = append(kept, c)
-	}
-	clear(rest[len(kept):])
-	e.main = e.main[:1+len(kept)]
-}
-
-// depthPass reserves the first depth main-queue heads on the shared
-// availability profile and backfills the rest into the remaining holes.
-func (e *aggressiveEngine) depthPass(env sim.Env) {
-	now := env.Now()
-	for len(e.main) > 0 && e.main[0].Nodes <= env.FreeNodes() {
-		var head *job.Job
-		e.main, head = popHead(e.main)
-		if err := env.Start(head); err != nil {
-			panic(err)
-		}
-	}
-	if len(e.main) == 0 {
-		return
-	}
-	prof := e.comp.scratchFrom(env)
-	depth := e.depth
-	if depth > len(e.main) {
-		depth = len(e.main)
-	}
-	for _, r := range e.main[:depth] {
-		s, ok := prof.EarliestFit(now, r.Estimate, r.Nodes)
-		if !ok {
-			panic(fmt.Sprintf("sched: depth reservation impossible for %v", r))
-		}
-		if err := prof.Occupy(s, s+r.Estimate, r.Nodes); err != nil {
-			panic(fmt.Sprintf("sched: depth reserve: %v", err))
-		}
-	}
-	// Backfill the rest: a candidate may start now only if its rectangle
-	// fits the reserved profile starting immediately.
-	kept := e.main[:depth]
-	for _, c := range e.main[depth:] {
-		if c.Nodes <= env.FreeNodes() && fitsNow(prof, now, c) {
-			if err := prof.Occupy(now, now+c.Estimate, c.Nodes); err != nil {
-				panic(fmt.Sprintf("sched: depth backfill: %v", err))
-			}
-			if err := env.Start(c); err != nil {
-				panic(err)
-			}
-			continue
-		}
-		kept = append(kept, c)
-	}
-	clear(e.main[len(kept):])
-	e.main = kept
-}
-
-// starvedPass schedules while starved jobs exist: the first reserve-depth
-// starvation-queue jobs hold reservations (CPlant reserved only the head);
-// everything else (rest of the starvation queue FCFS, then the main queue
-// in queue order) may start only where it delays no reservation.
-func (e *aggressiveEngine) starvedPass(env sim.Env) {
-	depth := e.starve.depth
-	if depth < 1 {
-		depth = 1
-	}
-	if depth > len(e.starved) {
-		depth = len(e.starved)
-	}
-	if depth == 1 {
-		// The production fast path: a single reservation needs no mutable
-		// profile copy — the shared availability profile answers it directly.
-		resAt, shadow := reservation(env, e.starved[0].Nodes)
-		backfill := func(q []*job.Job) []*job.Job {
-			kept := q[:0]
-			for _, c := range q {
-				if canBackfill(env, c, resAt, shadow) {
-					if env.Now()+c.Estimate > resAt {
-						shadow -= c.Nodes
-					}
-					if err := env.Start(c); err != nil {
-						panic(err)
-					}
-					continue
-				}
-				kept = append(kept, c)
-			}
-			clear(q[len(kept):])
-			return kept
-		}
-		rest := backfill(e.starved[1:])
-		e.starved = e.starved[:1+len(rest)]
-		e.main = backfill(e.main)
-		return
-	}
-	prof := e.comp.scratchFrom(env)
-	now := env.Now()
-	for _, r := range e.starved[:depth] {
-		s, ok := prof.EarliestFit(now, r.Estimate, r.Nodes)
-		if !ok {
-			panic(fmt.Sprintf("sched: starvation reservation impossible for %v", r))
-		}
-		if err := prof.Occupy(s, s+r.Estimate, r.Nodes); err != nil {
-			panic(fmt.Sprintf("sched: starvation reserve: %v", err))
-		}
-	}
-	backfill := func(q []*job.Job) []*job.Job {
-		kept := q[:0]
-		for _, c := range q {
-			if c.Nodes <= env.FreeNodes() && fitsNow(prof, now, c) {
-				if err := prof.Occupy(now, now+c.Estimate, c.Nodes); err != nil {
-					panic(fmt.Sprintf("sched: starvation backfill: %v", err))
-				}
-				if err := env.Start(c); err != nil {
-					panic(err)
-				}
-				continue
-			}
-			kept = append(kept, c)
-		}
-		clear(q[len(kept):])
-		return kept
-	}
-	rest := backfill(e.starved[depth:])
-	e.starved = e.starved[:depth+len(rest)]
-	e.main = backfill(e.main)
 }
 
 // depthReservations computes the reservation starts a fresh depth-mode
@@ -272,20 +204,10 @@ func (e *aggressiveEngine) depthReservations(env sim.Env) map[job.ID]int64 {
 	prof := env.Availability().Clone()
 	q := append([]*job.Job(nil), e.main...)
 	sortQueue(env, e.order, q)
-	depth := e.depth
-	if depth > len(q) {
-		depth = len(q)
-	}
+	depth := min(e.k, len(q))
 	out := make(map[job.ID]int64, depth)
 	for _, r := range q[:depth] {
-		s, ok := prof.EarliestFit(now, r.Estimate, r.Nodes)
-		if !ok {
-			continue
-		}
-		if err := prof.Occupy(s, s+r.Estimate, r.Nodes); err != nil {
-			continue
-		}
-		out[r.ID] = s
+		out[r.ID] = reserve(prof, now, r)
 	}
 	return out
 }

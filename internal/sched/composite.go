@@ -77,13 +77,9 @@ func New(spec Spec) (*Composite, error) {
 			dynamic: norm.Backfill == BackfillConservativeDynamic,
 		}
 	case BackfillNoGuarantee, BackfillEASY, BackfillDepth:
-		c.engine = &aggressiveEngine{
-			comp:   c,
-			order:  ord,
-			mode:   norm.Backfill,
-			depth:  norm.Depth,
-			starve: newStarvation(norm),
-		}
+		// The reservation count: noguarantee 0, easy 1, depth N.
+		k := map[string]int{BackfillEASY: 1, BackfillDepth: norm.Depth}[norm.Backfill]
+		c.engine = &aggressiveEngine{comp: c, order: ord, k: k, starve: newStarvation(norm)}
 	default:
 		return nil, fmt.Errorf("sched: policy %q: unknown backfill %q", spec.String(), norm.Backfill)
 	}
@@ -213,7 +209,7 @@ func (c *Composite) Reservations(env sim.Env) map[job.ID]int64 {
 	case *conservativeEngine:
 		return e.reservations()
 	case *aggressiveEngine:
-		if e.mode == BackfillDepth {
+		if c.spec.Backfill == BackfillDepth {
 			return e.depthReservations(env)
 		}
 	}

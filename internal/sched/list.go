@@ -31,11 +31,5 @@ func (e *listEngine) queued() []*job.Job { return e.queue }
 
 func (e *listEngine) schedule(env sim.Env) {
 	sortQueue(env, e.order, e.queue)
-	for len(e.queue) > 0 && e.queue[0].Nodes <= env.FreeNodes() {
-		var head *job.Job
-		e.queue, head = popHead(e.queue)
-		if err := env.Start(head); err != nil {
-			panic(err) // capacity was checked; a failure is a policy bug
-		}
-	}
+	startHeads(env, &e.queue)
 }

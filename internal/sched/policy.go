@@ -34,7 +34,6 @@ import (
 	"sort"
 
 	"fairsched/internal/job"
-	"fairsched/internal/profile"
 	"fairsched/internal/sim"
 )
 
@@ -61,6 +60,26 @@ func popHead(q []*job.Job) ([]*job.Job, *job.Job) {
 	return q[:len(q)-1], head
 }
 
+// startHeads starts q's heads while they fit: list scheduling's whole pass
+// and the first step of every backfill pass. The queue is updated before
+// each start, so observers reading Queued() from JobStarted see it without
+// the job just started.
+func startHeads(env sim.Env, q *[]*job.Job) {
+	for len(*q) > 0 && (*q)[0].Nodes <= env.FreeNodes() {
+		var head *job.Job
+		*q, head = popHead(*q)
+		mustStart(env, head)
+	}
+}
+
+// mustStart starts a job whose fit the caller checked; a failure is a
+// policy bug.
+func mustStart(env sim.Env, j *job.Job) {
+	if err := env.Start(j); err != nil {
+		panic(err)
+	}
+}
+
 // sortFCFS orders jobs by submission time then id (the starvation queue's
 // discipline).
 func sortFCFS(q []*job.Job) {
@@ -69,9 +88,9 @@ func sortFCFS(q []*job.Job) {
 
 // reservation computes the earliest time a job needing `nodes` nodes could
 // start given only the running jobs' estimated completions (no queued-job
-// reservations) — the reservation EASY backfilling and the starvation-queue
-// head use. It reads the environment's shared availability profile rather
-// than re-deriving release times from the running set. It returns the
+// reservations): the single reservation of the aggressive family's shadow
+// rule. It reads the environment's shared availability profile rather than
+// re-deriving release times from the running set. It returns the
 // reservation time and the "shadow" capacity: the nodes left over at that
 // time after the job is placed, which bounds what backfilled jobs running
 // past the reservation may consume.
@@ -87,25 +106,4 @@ func reservation(env sim.Env, nodes int) (at int64, shadow int) {
 		return env.Now(), env.SystemSize() - nodes
 	}
 	return s, prof.FreeAt(s) - nodes
-}
-
-// canBackfill reports whether candidate c may start now without delaying a
-// reservation at resAt with the given shadow capacity: either c completes
-// (by its estimate) before the reservation, or it fits into the shadow
-// nodes.
-func canBackfill(env sim.Env, c *job.Job, resAt int64, shadow int) bool {
-	if c.Nodes > env.FreeNodes() {
-		return false
-	}
-	if env.Now()+c.Estimate <= resAt {
-		return true
-	}
-	return c.Nodes <= shadow
-}
-
-// fitsNow reports whether a job starting immediately fits the profile for
-// its whole estimated duration.
-func fitsNow(prof *profile.Profile, now int64, c *job.Job) bool {
-	s, ok := prof.EarliestFit(now, c.Estimate, c.Nodes)
-	return ok && s == now
 }
