@@ -53,6 +53,9 @@ func main() {
 	if err := decayCfg.Validate(); err != nil {
 		fatal(err)
 	}
+	if err := (workload.Config{Scale: *scale, SystemSize: *nodes}).Validate(); err != nil {
+		fatal(err)
+	}
 
 	if *list {
 		fmt.Println(strings.Join(core.SpecKeys(), "\n"))

@@ -28,7 +28,6 @@
 //	experiments -slo 'p50:2h,p90:24h,default:96h'   # tag users in every scenario
 //	experiments -topology 'part=a:600,part=b:400,queue=x:part=a,queue=y:part=b' \
 //	    -scenario 'queue=p50:x,default:y'           # partitioned machine, routed users
-//	experiments -topology ... -partition-parallel 4 # parallel per-partition event loops
 //
 // Archive-scale campaigns name their traces in a manifest instead of
 // repeating -trace paths; -cache-dir adds the binary trace cache:
@@ -82,7 +81,6 @@ func main() {
 		window    = flag.String("window", "", "campaign: slice every scenario to START..END (e.g. 1w..5w)")
 		sloSpec   = flag.String("slo", "", "campaign: tag users with SLO targets in every scenario (e.g. 'p50:2h,p90:24h,default:96h'; see -list-slos)")
 		topoSpec  = flag.String("topology", "", "campaign: partition the machine and hang a queue tree (e.g. 'part=a:600,part=b:400,queue=x:part=a,queue=y:part=b:order=sjf'; route users with -scenario 'queue=...'/'partition=...')")
-		partPar   = flag.Int("partition-parallel", 0, "campaign: how many partition event loops run concurrently per cell (needs -topology; report byte-identical at every width)")
 		listSLOs  = flag.Bool("list-slos", false, "list the SLO grammar and built-in SLO scenarios, then exit")
 		polPar    = flag.Bool("policy-parallel", false, "campaign: fan the policy axis out across the worker pool too (wide-registry sweeps over few cells; report stays byte-identical)")
 		listScens = flag.Bool("list-scenarios", false, "list the built-in scenarios and the spec grammar, then exit")
@@ -100,6 +98,12 @@ func main() {
 	decayCfg := fairshare.Config{DecayFactor: *decay}
 	if err := decayCfg.Validate(); err != nil {
 		fatal(err)
+	}
+	if err := (workload.Config{Scale: *scale, SystemSize: *nodes, BurstGamma: *burst}).Validate(); err != nil {
+		fatal(err)
+	}
+	if *sweepN < 0 {
+		fatal(fmt.Errorf("-seeds %d is negative", *sweepN))
 	}
 
 	if *listPols {
@@ -202,16 +206,12 @@ func main() {
 	}
 	convOpts := swf.ConvertOptions{KeepCancelled: *keepCanc}
 
-	if *partPar != 0 && *topoSpec == "" {
-		fatal(fmt.Errorf("-partition-parallel needs -topology (a flat machine has one event loop)"))
-	}
 	if *topoSpec != "" {
 		topo, err := topology.Parse(*topoSpec)
 		if err != nil {
 			fatal(err)
 		}
 		study.Topology = topo
-		study.PartitionParallel = *partPar
 	}
 
 	if len(traces) > 0 || len(scenarios) > 0 || len(policies) > 0 || *window != "" || *sloSpec != "" || *topoSpec != "" || *manifest != "" {

@@ -69,6 +69,9 @@ func main() {
 	if err := decayCfg.Validate(); err != nil {
 		fatal(err)
 	}
+	if err := (workload.Config{Scale: *scale, SystemSize: *nodes, BurstGamma: *burst}).Validate(); err != nil {
+		fatal(err)
+	}
 
 	if *list {
 		for _, s := range hypothesis.Registered() {

@@ -37,6 +37,17 @@ func main() {
 		verbose = flag.Bool("v", false, "print summary statistics")
 	)
 	flag.Parse()
+	wcfg := workload.Config{
+		Seed:       *seed,
+		SystemSize: *nodes,
+		Scale:      *scale,
+		Weeks:      *weeks,
+		Users:      *users,
+		BurstGamma: *gamma,
+	}
+	if err := wcfg.Validate(); err != nil {
+		fatal(err)
+	}
 	popSet := false
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "pop" {
@@ -49,14 +60,7 @@ func main() {
 		return
 	}
 
-	jobs, err := workload.Generate(workload.Config{
-		Seed:       *seed,
-		SystemSize: *nodes,
-		Scale:      *scale,
-		Weeks:      *weeks,
-		Users:      *users,
-		BurstGamma: *gamma,
-	})
+	jobs, err := workload.Generate(wcfg)
 	if err != nil {
 		fatal(err)
 	}

@@ -283,8 +283,6 @@ type (
 	ScenarioSource = scenario.Source
 	// Campaign is the full (trace × scenario × seed × policy) matrix.
 	Campaign = sweep.Campaign
-	// CampaignCell is one completed matrix cell with full run detail.
-	CampaignCell = sweep.Cell
 	// CampaignCellSummary is the memory-light record of a finished cell.
 	CampaignCellSummary = sweep.CellSummary
 )
@@ -442,9 +440,9 @@ func RenderFindings(w io.Writer, e *HypothesisEvaluation) { hypothesis.RenderFin
 // partitions (each with its own node capacity and event loop) and declares a
 // hierarchical queue tree (org → group → user) with per-leaf policy specs and
 // guaranteed/capped shares; scenario queue=/partition= transforms route users
-// into it. Set StudyConfig.Topology (and optionally PartitionParallel) to run
-// on one. A single-partition, single-root-queue topology reproduces the flat
-// run byte-identically.
+// into it. Set StudyConfig.Topology to run on one; each partition runs its own
+// event loop, one after another. A nil Topology is the flat machine, and a
+// single-partition, single-root-queue topology reproduces it byte-identically.
 type (
 	// Topology is the machine layout: partitions plus the queue tree.
 	Topology = topology.Topology

@@ -105,22 +105,19 @@ type StudyConfig struct {
 	// Scenario.SLOAssignment). The assignment is read-only and may be
 	// shared across concurrent runs.
 	SLO *slo.Assignment
-	// Topology, when non-nil, partitions the machine into named groups —
-	// each with its own event loop — and hangs a hierarchical queue tree
-	// over them (see package topology). A nil Topology is the flat
-	// pre-partition machine; a single-partition single-root-queue topology
-	// reproduces it byte-identically (the flat-equivalence suite pins
-	// this). The topology is read-only and may be shared across runs.
+	// Topology partitions the machine into named groups, each with its own
+	// event loop, and hangs a hierarchical queue tree over them (see
+	// package topology). A nil Topology is the zero one: a single partition
+	// of the whole machine running the spec directly, which is the flat
+	// machine of the paper (the flat-equivalence suite pins that a
+	// single-partition single-root-queue topology reproduces it). The
+	// topology is read-only and may be shared across runs.
 	Topology *topology.Topology
 	// Placement routes users to queues/partitions (campaigns derive it
 	// from the cell's scenario via Scenario.Placement). With a nil
 	// Topology, queue tags still group per-queue report rows; partition
 	// tags are ignored. Read-only, shareable.
 	Placement *topology.Placement
-	// PartitionParallel bounds how many partition event loops run
-	// concurrently within one Execute (default 1, serial). Results are
-	// byte-identical at every width.
-	PartitionParallel int
 }
 
 // Run is the outcome of one policy over one workload.
@@ -135,99 +132,126 @@ type Run struct {
 	SLO *slo.Summary
 }
 
-// Execute runs one spec over the workload and assembles the summary. With
-// a Topology configured, the run shards into per-partition event loops and
-// merges (see executeTopology); otherwise the flat single-loop path runs.
+// Execute runs one spec over the workload and assembles the summary. The
+// machine is a topology — a nil Topology is the zero one, a single
+// partition of the whole machine — and every partition runs its own event
+// loop over the users routed to it: the spec directly when the partition
+// declares no queues, a MultiQueue over its leaves otherwise. One loop's
+// result is the run's own; several merge in declaration order (see
+// mergeLoops), so a run is deterministic whatever its partition count.
 func Execute(cfg StudyConfig, spec Spec, workload []*job.Job) (*Run, error) {
 	if cfg.SystemSize <= 0 {
 		cfg.SystemSize = 1000
 	}
-	if cfg.Topology != nil {
-		return executeTopology(cfg, spec, workload)
+	topo := cfg.Topology
+	if topo == nil {
+		topo = &topology.Topology{}
+	} else if err := refuseUnderTopology(cfg, spec); err != nil {
+		return nil, err
 	}
-	pol, err := sched.New(spec)
+	parts := topo.EffectivePartitions(cfg.SystemSize)
+	rt, err := route(cfg, spec, parts, workload)
 	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+		return nil, err
 	}
-	simCfg := sim.Config{
-		SystemSize:     cfg.SystemSize,
-		Fairshare:      cfg.Fairshare,
-		FairshareEpoch: cfg.FairshareEpoch,
-		MaxRuntime:     spec.MaxRuntime,
-		Split:          cfg.Split,
-		Kill:           cfg.Kill,
-		Validate:       cfg.Validate,
-		// Only preemptive specs pay the preemption path (per-job workload
-		// clones, remainder requeues); everything else runs the byte-stable
-		// classic path.
-		Preemptable: spec.PreemptTrigger != "",
-	}
-	if simCfg.Preemptable && simCfg.MaxRuntime > 0 {
-		// Preemption and max-runtime splitting both drive the chain
-		// machinery and do not compose (see sim.Run); surface the conflict
-		// here with the policy name attached rather than mid-run.
-		return nil, fmt.Errorf("core: %s: checkpoint preemption does not compose with max-runtime splitting", spec.String())
-	}
-	col := metrics.NewCollector(cfg.SystemSize)
-	observers := []sim.Observer{col}
-	var fst *fairness.HybridFST
-	if !cfg.SkipFST {
-		fst = fairness.NewHybridFST()
-		observers = append(observers, fst)
-	}
+	// Only preemptive specs pay the preemption path (per-job workload
+	// clones, remainder requeues); everything else runs the byte-stable
+	// classic path. Preemption is refused under a topology, so a
+	// preemptive run has one partition.
+	preempt := spec.PreemptTrigger != ""
+	loops := make([]partitionLoop, len(parts))
 	var eq *fairness.Equality
-	if cfg.Equality {
-		eq = fairness.NewEquality(cfg.SystemSize)
-		observers = append(observers, eq)
-	}
-	var sloObs *fairness.SLOObserver
-	if cfg.SLO.NumUsers() > 0 {
-		// The observer reads the engine's fair start times (recorded at
-		// arrival) to split breaches into policy-caused and infeasible;
-		// with SkipFST it still tracks attainment, unclassified.
-		sloObs = fairness.NewSLOObserver(cfg.SLO, fst)
-		if cfg.Split == sim.SplitChained || simCfg.Preemptable {
-			// Chained splits — and preemption, which resubmits a victim's
-			// remainder as a chained segment — model one logical job as a
-			// checkpoint chain: judge its slowdown once, at the last
-			// segment's completion, against the original submit
-			// (DESIGN.md §11, §16).
-			sloObs.SetChained(true)
+	for i, p := range parts {
+		l := &loops[i]
+		var pol sim.Policy
+		var direct *sched.Composite
+		if rt.queues[i] == nil {
+			if direct, err = sched.New(spec); err != nil {
+				return nil, fmt.Errorf("core: %w", err)
+			}
+			pol = direct
+		} else {
+			leafOf := rt.leafOf[i]
+			pol, err = sched.NewMultiQueue(rt.queues[i], func(j *job.Job) int { return leafOf[j.User] }, cfg.Fairshare, cfg.FairshareEpoch)
+			if err != nil {
+				return nil, fmt.Errorf("core: partition %s: %w", p.Name, err)
+			}
 		}
-		observers = append(observers, sloObs)
-		// Deadline-aware components (order=edf, preempt=deadline.*) read
-		// the run's SLO signals: the assignment supplies per-user
-		// deadlines, the online observer the breach-risk promotion. With
-		// no assignment the context stays unset — the edf order degrades
-		// to FCFS and the deadline trigger never fires.
-		pol.SetSLOContext(cfg.SLO, sloObs)
+		l.col = metrics.NewCollector(p.Nodes)
+		observers := []sim.Observer{l.col}
+		if !cfg.SkipFST {
+			l.fst = fairness.NewHybridFST()
+			observers = append(observers, l.fst)
+		}
+		if cfg.Equality {
+			// Refused under a topology: this is the flat machine's one loop.
+			eq = fairness.NewEquality(p.Nodes)
+			observers = append(observers, eq)
+		}
+		if cfg.SLO.NumUsers() > 0 {
+			// The observer reads the engine's fair start times (recorded at
+			// arrival) to split breaches into policy-caused and infeasible;
+			// with SkipFST it still tracks attainment, unclassified.
+			l.slo = fairness.NewSLOObserver(cfg.SLO, l.fst)
+			if cfg.Split == sim.SplitChained || preempt {
+				// Chained splits — and preemption, which resubmits a
+				// victim's remainder as a chained segment — model one
+				// logical job as a checkpoint chain: judge its slowdown
+				// once, at the last segment's completion, against the
+				// original submit (DESIGN.md §11, §16).
+				l.slo.SetChained(true)
+			}
+			observers = append(observers, l.slo)
+			if direct != nil {
+				// Deadline-aware components (order=edf, preempt=deadline.*)
+				// read the run's SLO signals: the assignment supplies
+				// per-user deadlines, the online observer the breach-risk
+				// promotion. With no assignment the context stays unset —
+				// the edf order degrades to FCFS and the deadline trigger
+				// never fires.
+				direct.SetSLOContext(cfg.SLO, l.slo)
+			}
+		}
+		l.sim = sim.New(sim.Config{
+			SystemSize:     p.Nodes,
+			Fairshare:      cfg.Fairshare,
+			FairshareEpoch: cfg.FairshareEpoch,
+			MaxRuntime:     spec.MaxRuntime,
+			Split:          cfg.Split,
+			Kill:           cfg.Kill,
+			Validate:       cfg.Validate,
+			FirstSegmentID: rt.firstSeg[i],
+			Preemptable:    preempt,
+		}, pol, observers...)
 	}
-	s := sim.New(simCfg, pol, observers...)
-	res, err := s.Run(workload)
-	if err != nil {
-		return nil, fmt.Errorf("core: %s: %w", spec.String(), err)
+	for i := range loops {
+		l := &loops[i]
+		l.res, err = l.sim.Run(rt.workloads[i])
+		l.sim = nil // drop the simulator and its policy: only the observers are read back
+		if err != nil {
+			if cfg.Topology != nil {
+				err = fmt.Errorf("partition %s: %w", parts[i].Name, err)
+			}
+			return nil, fmt.Errorf("core: %s: %w", spec.String(), err)
+		}
 	}
-	run := &Run{Spec: spec, Result: res, Equality: eq}
-	if fst != nil {
-		run.FST = fst.Table()
+
+	res, col, fst, tracker := mergeLoops(cfg, spec, parts, loops)
+	run := &Run{Spec: spec, Result: res, FST: fst, Equality: eq}
+	if tracker != nil {
+		run.SLO = tracker.Summary()
 	}
-	if sloObs != nil {
-		run.SLO = sloObs.Summary()
-	}
-	run.Summary = metrics.Summarize(res, run.FST, col)
+	run.Summary = metrics.Summarize(run.Result, run.FST, col)
 	run.Summary.Policy = spec.String()
-	if paths := cfg.Placement.QueuePaths(); len(paths) > 0 {
-		// Queue tags without a topology still group report rows: the flat
-		// machine ran one scheduler, but attainment and delay can be read
-		// out per tagged queue (the per-queue metric keys resolve against
-		// these rows).
+	if len(rt.paths) > 0 {
 		var perUser []slo.UserStats
-		if sloObs != nil {
-			perUser = sloObs.PerUser()
+		if tracker != nil {
+			perUser = tracker.PerUser()
 		}
-		run.Summary.Queues = queueSummaries(paths, func(user int) (string, bool) {
-			return cfg.Placement.Queue(user)
-		}, res.Records, perUser)
+		run.Summary.Queues = queueSummaries(rt.paths, rt.queueOf, run.Result.Records, perUser)
+	}
+	if len(parts) > 1 {
+		run.Summary.Partitions = partitionSummaries(parts, loops, run.Result.Makespan)
 	}
 	return run, nil
 }

@@ -13,50 +13,78 @@ import (
 	"fairsched/internal/topology"
 )
 
-// executeTopology is Execute's partitioned path: one independent event loop
-// per partition, each running a MultiQueue over that partition's slice of
-// the queue tree, merged afterwards into one Run. Determinism contract:
-// every partition is a fully deterministic simulation over a disjoint
-// workload slice and a disjoint split-segment id range, and the merge
-// (record sort, collector/tracker folds) happens in fixed declaration
-// order, so the result is byte-identical at every PartitionParallel width —
-// and, for a single-partition single-root-queue topology, byte-identical
-// to the flat path.
-func executeTopology(cfg StudyConfig, spec Spec, workload []*job.Job) (*Run, error) {
+// refuseUnderTopology rejects what a partitioned machine cannot run: the
+// equality observer models one flat machine, and preemption and order=edf
+// need the flat loop's requeue path and per-run SLO context.
+func refuseUnderTopology(cfg StudyConfig, spec Spec) error {
 	if cfg.Equality {
-		return nil, fmt.Errorf("core: the resource-equality observer is not supported with a topology (it models one flat machine)")
+		return fmt.Errorf("core: the resource-equality observer is not supported with a topology (it models one flat machine)")
 	}
 	if spec.PreemptTrigger != "" {
-		return nil, fmt.Errorf("core: %s: checkpoint preemption is not supported with a topology (partition loops have no requeue path)", spec.String())
+		return fmt.Errorf("core: %s: checkpoint preemption is not supported with a topology (partition loops have no requeue path)", spec.String())
 	}
 	if spec.Order == "edf" {
-		return nil, fmt.Errorf("core: %s: order=edf is not supported with a topology (partition loops carry no per-run SLO context)", spec.String())
+		return fmt.Errorf("core: %s: order=edf is not supported with a topology (partition loops carry no per-run SLO context)", spec.String())
+	}
+	if err := cfg.Topology.Validate(); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	return nil
+}
+
+// routing is a run's split of the workload over its partitions.
+type routing struct {
+	// Per partition: the queue tree (nil: no declared queues, the spec runs
+	// directly), the routed jobs, each user's leaf index and the first
+	// split-segment id (0: the simulator's default).
+	queues    [][]sched.QueueConfig
+	workloads [][]*job.Job
+	leafOf    []map[int]int
+	firstSeg  []job.ID
+	// paths are the per-queue report rows; queueOf maps a user to one.
+	paths   []string
+	queueOf func(user int) (string, bool)
+}
+
+// route splits the workload over the partitions. The flat machine (nil
+// Topology) routes nothing: its one loop takes the whole workload, and
+// queue tags only group report rows. Under a topology a queue tag names a
+// declared leaf (implying its partition); a bare partition tag lands on the
+// partition's first leaf (or on the spec itself when it declares no
+// queues); untagged users land on the default partition. Routing is per
+// user, so checkpoint chains never span partitions.
+func route(cfg StudyConfig, spec Spec, parts []topology.Partition, workload []*job.Job) (*routing, error) {
+	if cfg.Topology == nil {
+		return &routing{
+			queues:    make([][]sched.QueueConfig, 1),
+			workloads: [][]*job.Job{workload},
+			leafOf:    make([]map[int]int, 1),
+			firstSeg:  make([]job.ID, 1),
+			paths:     cfg.Placement.QueuePaths(),
+			queueOf:   cfg.Placement.Queue,
+		}, nil
 	}
 	topo := cfg.Topology
-	if err := topo.Validate(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+	rt := &routing{
+		queues:    make([][]sched.QueueConfig, len(parts)),
+		workloads: make([][]*job.Job, len(parts)),
+		leafOf:    make([]map[int]int, len(parts)),
+		firstSeg:  make([]job.ID, len(parts)),
 	}
-	parts := topo.EffectivePartitions(cfg.SystemSize)
 	partIdx := make(map[string]int, len(parts))
-	totalNodes := 0
 	for i, p := range parts {
 		partIdx[p.Name] = i
-		totalNodes += p.Nodes
 	}
 
-	// Per-partition queue configs. A partition with no declared queues gets
-	// one implicit root queue running the cell's policy (path "", no report
-	// row) — the flat machine, per partition. Declared leaves without a
-	// policy inherit the cell's spec.
+	// Per-partition queue trees. Declared leaves without a policy inherit
+	// the cell's spec.
 	inherited := spec
 	leavesByPart := make([][]topology.QueueNode, len(parts))
-	cfgsByPart := make([][]sched.QueueConfig, len(parts))
 	leafIdx := make(map[string]int, len(topo.Queues))  // leaf path -> index in its partition
 	leafPart := make(map[string]int, len(topo.Queues)) // leaf path -> partition index
 	for i, p := range parts {
 		leavesByPart[i] = topo.LeavesFor(p.Name)
 		if len(leavesByPart[i]) == 0 {
-			cfgsByPart[i] = []sched.QueueConfig{{Path: "", Spec: &inherited}}
 			continue
 		}
 		k := 0
@@ -75,18 +103,13 @@ func executeTopology(cfg StudyConfig, spec Spec, workload []*job.Job) (*Run, err
 				leafPart[q.Path] = i
 				k++
 			}
-			cfgsByPart[i] = append(cfgsByPart[i], qc)
+			rt.queues[i] = append(rt.queues[i], qc)
 		}
 	}
 
-	// Route users: a queue tag names a declared leaf (implying its
-	// partition); a bare partition tag lands on the partition's first leaf
-	// (or implicit root); untagged users land on the default partition's
-	// first leaf. Routing is per user, so checkpoint chains never span
-	// partitions.
 	type place struct{ part, leaf int }
 	placeOf := make(map[int]place)
-	queueOf := make(map[int]string) // user -> report queue path ("" = implicit root)
+	queueOf := make(map[int]string) // user -> leaf path ("" = no declared queues)
 	resolve := func(user int) (place, error) {
 		if pl, ok := placeOf[user]; ok {
 			return pl, nil
@@ -113,8 +136,6 @@ func executeTopology(cfg StudyConfig, spec Spec, workload []*job.Job) (*Run, err
 		}
 		return pl, nil
 	}
-	workloads := make([][]*job.Job, len(parts))
-	routes := make([]map[int]int, len(parts)) // user -> leaf index, per partition
 	var globalMaxID job.ID
 	for _, j := range workload {
 		if j.ID > globalMaxID {
@@ -124,122 +145,88 @@ func executeTopology(cfg StudyConfig, spec Spec, workload []*job.Job) (*Run, err
 		if err != nil {
 			return nil, err
 		}
-		workloads[pl.part] = append(workloads[pl.part], j)
-		if routes[pl.part] == nil {
-			routes[pl.part] = make(map[int]int)
+		rt.workloads[pl.part] = append(rt.workloads[pl.part], j)
+		if rt.leafOf[pl.part] == nil {
+			rt.leafOf[pl.part] = make(map[int]int)
 		}
-		routes[pl.part][j.User] = pl.leaf
+		rt.leafOf[pl.part][j.User] = pl.leaf
 	}
 
 	// Carve disjoint contiguous split-segment id ranges, so merged records
 	// and FST tables cannot collide across partitions (and each loop's
 	// dense record index stays dense).
-	firstSeg := make([]job.ID, len(parts))
 	next := globalMaxID + 1
 	for i := range parts {
-		firstSeg[i] = next
-		next += job.ID(sim.SegmentIDBudget(workloads[i], spec.MaxRuntime))
+		rt.firstSeg[i] = next
+		next += job.ID(sim.SegmentIDBudget(rt.workloads[i], spec.MaxRuntime))
 	}
-
-	runs := make([]sim.PartitionRun, len(parts))
-	cols := make([]*metrics.Collector, len(parts))
-	fsts := make([]*fairness.HybridFST, len(parts))
-	sloObss := make([]*fairness.SLOObserver, len(parts))
-	for i, p := range parts {
-		route := routes[i]
-		pol, err := sched.NewMultiQueue(cfgsByPart[i], func(j *job.Job) int { return route[j.User] }, cfg.Fairshare, cfg.FairshareEpoch)
-		if err != nil {
-			return nil, fmt.Errorf("core: partition %s: %w", p.Name, err)
-		}
-		cols[i] = metrics.NewCollector(p.Nodes)
-		observers := []sim.Observer{cols[i]}
-		if !cfg.SkipFST {
-			fsts[i] = fairness.NewHybridFST()
-			observers = append(observers, fsts[i])
-		}
-		if cfg.SLO.NumUsers() > 0 {
-			sloObss[i] = fairness.NewSLOObserver(cfg.SLO, fsts[i])
-			if cfg.Split == sim.SplitChained {
-				sloObss[i].SetChained(true)
-			}
-			observers = append(observers, sloObss[i])
-		}
-		runs[i] = sim.PartitionRun{
-			Name: p.Name,
-			Config: sim.Config{
-				SystemSize:     p.Nodes,
-				Fairshare:      cfg.Fairshare,
-				FairshareEpoch: cfg.FairshareEpoch,
-				MaxRuntime:     spec.MaxRuntime,
-				Split:          cfg.Split,
-				Kill:           cfg.Kill,
-				Validate:       cfg.Validate,
-				FirstSegmentID: firstSeg[i],
-			},
-			Policy:    pol,
-			Observers: observers,
-			Workload:  workloads[i],
-		}
-	}
-	results, err := sim.RunPartitions(cfg.PartitionParallel, runs)
-	if err != nil {
-		return nil, fmt.Errorf("core: %s: %w", spec.String(), err)
-	}
-
-	merged := mergeResults(spec, totalNodes, results)
-	run := &Run{Spec: spec, Result: merged}
-	if !cfg.SkipFST {
-		run.FST = make(map[job.ID]int64)
-		for _, f := range fsts {
-			for id, t := range f.Table() {
-				run.FST[id] = t
-			}
-		}
-	}
-	col := metrics.NewCollector(totalNodes)
-	for _, c := range cols {
-		col.Merge(c)
-	}
-	var perUser []slo.UserStats
-	if cfg.SLO.NumUsers() > 0 {
-		tr := slo.NewTracker(cfg.SLO)
-		for _, o := range sloObss {
-			tr.Merge(o.Tracker())
-		}
-		run.SLO = tr.Summary()
-		perUser = tr.PerUser()
-	}
-	run.Summary = metrics.Summarize(merged, run.FST, col)
-	run.Summary.Policy = spec.String()
 
 	// Per-queue rows for every declared leaf (path order); partitions with
-	// only the implicit root contribute no row. Per-partition rows only
-	// when the machine is actually split.
-	if leaves := topo.Leaves(); len(leaves) > 0 {
-		paths := make([]string, len(leaves))
-		for i, q := range leaves {
-			paths[i] = q.Path
-		}
-		run.Summary.Queues = queueSummaries(paths, func(user int) (string, bool) {
-			q, ok := queueOf[user]
-			return q, ok && q != ""
-		}, merged.Records, perUser)
+	// no declared queues contribute no row.
+	for _, q := range topo.Leaves() {
+		rt.paths = append(rt.paths, q.Path)
 	}
-	if len(parts) > 1 {
-		run.Summary.Partitions = partitionSummaries(parts, results, merged.Makespan)
+	rt.queueOf = func(user int) (string, bool) {
+		q, ok := queueOf[user]
+		return q, ok && q != ""
 	}
-	return run, nil
+	return rt, nil
 }
 
-// mergeResults folds the per-partition results into one: records re-sorted
-// on the global (submit, id) order, spans and event counts combined.
-func mergeResults(spec Spec, totalNodes int, results []*sim.Result) *sim.Result {
+// partitionLoop is one partition's event loop, the observers the run reads
+// back, and afterwards its result.
+type partitionLoop struct {
+	sim *sim.Simulator
+	col *metrics.Collector
+	fst *fairness.HybridFST
+	slo *fairness.SLOObserver
+	res *sim.Result
+}
+
+// mergeLoops folds the partition loops into one run: records re-sorted on
+// the global (submit, id) order, spans and event counts combined,
+// collectors, FST tables and SLO trackers folded in declaration order. The
+// merge of one loop is the identity, so its pieces come back as they are.
+// The FST table is nil with SkipFST, the tracker without an SLO assignment.
+func mergeLoops(cfg StudyConfig, spec Spec, parts []topology.Partition, loops []partitionLoop) (*sim.Result, *metrics.Collector, map[job.ID]int64, *slo.Tracker) {
+	if len(loops) == 1 {
+		l := loops[0]
+		var fst map[job.ID]int64
+		if l.fst != nil {
+			fst = l.fst.Table()
+		}
+		var tracker *slo.Tracker
+		if l.slo != nil {
+			tracker = l.slo.Tracker()
+		}
+		return l.res, l.col, fst, tracker
+	}
+	totalNodes := 0
+	for _, p := range parts {
+		totalNodes += p.Nodes
+	}
 	merged := &sim.Result{Policy: spec.String(), SystemSize: totalNodes}
-	if len(results) == 1 {
-		merged.Policy = results[0].Policy
+	col := metrics.NewCollector(totalNodes)
+	var fst map[job.ID]int64
+	if !cfg.SkipFST {
+		fst = make(map[job.ID]int64)
+	}
+	var tracker *slo.Tracker
+	if cfg.SLO.NumUsers() > 0 {
+		tracker = slo.NewTracker(cfg.SLO)
 	}
 	sawSpan := false
-	for _, r := range results {
+	for _, l := range loops {
+		col.Merge(l.col)
+		if l.fst != nil {
+			for id, t := range l.fst.Table() {
+				fst[id] = t
+			}
+		}
+		if l.slo != nil {
+			tracker.Merge(l.slo.Tracker())
+		}
+		r := l.res
 		merged.Records = append(merged.Records, r.Records...)
 		merged.Events += r.Events
 		if len(r.Records) == 0 {
@@ -266,7 +253,7 @@ func mergeResults(spec Spec, totalNodes int, results []*sim.Result) *sim.Result 
 	if sawSpan {
 		merged.Makespan = merged.LastCompletion - merged.FirstStart
 	}
-	return merged
+	return merged, col, fst, tracker
 }
 
 // queueSummaries groups records into per-queue report rows. queueOf maps a
@@ -322,10 +309,10 @@ func queueSummaries(paths []string, queueOf func(user int) (string, bool), recor
 // partitionSummaries builds the per-partition report rows. Utilization is
 // partition-local work over the merged makespan, so every row shares the
 // run's time denominator.
-func partitionSummaries(parts []topology.Partition, results []*sim.Result, makespan int64) []metrics.PartitionSummary {
+func partitionSummaries(parts []topology.Partition, loops []partitionLoop, makespan int64) []metrics.PartitionSummary {
 	rows := make([]metrics.PartitionSummary, len(parts))
 	for i, p := range parts {
-		r := results[i]
+		r := loops[i].res
 		row := metrics.PartitionSummary{Name: p.Name, Nodes: p.Nodes, Jobs: len(r.Records)}
 		var sumWait, sumTAT, usedProcSec float64
 		for _, rec := range r.Records {

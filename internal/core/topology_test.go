@@ -173,90 +173,6 @@ func TestTopologyFlatEquivalenceRandomized(t *testing.T) {
 	}
 }
 
-// twoPartitionSetup builds a 2-partition, 3-leaf topology and a placement
-// routing users across it: users ≡0 (mod 3) to fast/a, ≡1 to fast/b, the
-// rest to the slow partition's leaf.
-func twoPartitionSetup(t *testing.T, jobs []*job.Job) (*topology.Topology, *topology.Placement) {
-	t.Helper()
-	topo, err := topology.Parse("part=fast:60,part=slow:40," +
-		"queue=org/a:part=fast:guar=2,queue=org/b:part=fast," +
-		"queue=org/c:part=slow:sjf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b topology.PlacementBuilder
-	seen := map[int]bool{}
-	for _, j := range jobs {
-		if seen[j.User] {
-			continue
-		}
-		seen[j.User] = true
-		switch j.User % 3 {
-		case 0:
-			b.SetQueue(j.User, "org/a")
-		case 1:
-			b.SetQueue(j.User, "org/b")
-		default:
-			b.SetQueue(j.User, "org/c")
-		}
-	}
-	return topo, b.Build()
-}
-
-// TestPartitionParallelDeterminism: a multi-partition run must be
-// byte-identical at every PartitionParallel width — each partition is a
-// deterministic event loop over a disjoint workload, and the merge happens
-// in declaration order regardless of completion order.
-func TestPartitionParallelDeterminism(t *testing.T) {
-	jobs, err := workload.Generate(workload.Config{Seed: 7, Scale: 0.05, SystemSize: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Partitions are smaller than the whole machine: cap each job's width
-	// at the smallest partition so every routing is feasible.
-	for _, j := range jobs {
-		if j.Nodes > 40 {
-			j.Nodes = 40
-		}
-	}
-	topo, place := twoPartitionSetup(t, jobs)
-	spec, err := SpecByKey("cplant24.72max.all")
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := StudyConfig{
-		SystemSize: 100, Validate: true, Topology: topo, Placement: place,
-		SLO: sloFor(jobs), Split: sim.SplitChained,
-	}
-	var ref *Run
-	for _, par := range []int{1, 2, 8} {
-		cfg := base
-		cfg.PartitionParallel = par
-		run, err := Execute(cfg, spec, jobs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if par == 1 {
-			ref = run
-			continue
-		}
-		assertRunsEqual(t, "partition-parallel", run, ref)
-	}
-	if len(ref.Summary.Queues) != 3 {
-		t.Fatalf("%d queue rows, want 3", len(ref.Summary.Queues))
-	}
-	if len(ref.Summary.Partitions) != 2 {
-		t.Fatalf("%d partition rows, want 2", len(ref.Summary.Partitions))
-	}
-	total := 0
-	for _, q := range ref.Summary.Queues {
-		total += q.Jobs
-	}
-	if total != len(ref.Result.Records) {
-		t.Errorf("queue rows cover %d jobs, run has %d records", total, len(ref.Result.Records))
-	}
-}
-
 // TestTopologyRejects: routing and configuration errors must surface as
 // errors, not silent misroutes.
 func TestTopologyRejects(t *testing.T) {
@@ -284,5 +200,32 @@ func TestTopologyRejects(t *testing.T) {
 	if _, err := Execute(StudyConfig{SystemSize: 128, Topology: topo, Equality: true}, spec, jobs); err == nil ||
 		!strings.Contains(err.Error(), "equality") {
 		t.Errorf("equality+topology: err = %v", err)
+	}
+
+	for key, want := range map[string]string{
+		"easy.preempt": "checkpoint preemption is not supported with a topology",
+		"edf":          "order=edf is not supported with a topology",
+	} {
+		s, err := SpecByKey(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Execute(StudyConfig{SystemSize: 128, Topology: topo}, s, jobs); err == nil ||
+			!strings.Contains(err.Error(), want) {
+			t.Errorf("%s+topology: err = %v", key, err)
+		}
+	}
+
+	// The grammar refuses preempt+max=, so build the conflict by hand: the
+	// flat machine must still refuse it before any event runs (the spec
+	// check in sched.New catches it).
+	pre, err := SpecByKey("easy.preempt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre.MaxRuntime = 72 * 3600
+	if _, err := Execute(StudyConfig{SystemSize: 128}, pre, jobs); err == nil ||
+		!strings.Contains(err.Error(), "preempt is incompatible with max") {
+		t.Errorf("flat preempt+max: err = %v", err)
 	}
 }

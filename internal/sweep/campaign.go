@@ -44,23 +44,8 @@ type Campaign struct {
 	// last policy finishes — peak memory grows to at most one workload
 	// share per in-flight cell, bounded by the worker count plus one. The
 	// summaries, and any report rendered from them, stay byte-identical to
-	// the cell-unit mode at every parallelism. RunEach keeps the cell as
-	// its unit regardless (its callback contract is a whole cell).
+	// the cell-unit mode at every parallelism.
 	PolicyParallel bool
-}
-
-// Cell is one completed (trace × scenario × seed) of the matrix with full
-// run detail. It is only ever alive inside a RunEach callback; retaining
-// Jobs or Runs from there forfeits the campaign's memory bound.
-type Cell struct {
-	Source   string
-	Scenario string
-	Seed     int64
-	// SystemSize and Epoch are the resolved per-cell simulator settings.
-	SystemSize int
-	Epoch      int64
-	Jobs       []*job.Job
-	Runs       []*core.Run // spec order
 }
 
 // CellSummary is the memory-light record of a finished cell: identity plus
@@ -105,34 +90,6 @@ func (c Campaign) cells() (srcs []scenario.Source, scens []scenario.Scenario, se
 	return srcs, scens, seeds, specs, grid
 }
 
-// RunEach executes the matrix, handing each completed cell to the callback
-// and releasing it afterwards. Callbacks are serialized (no locking needed
-// inside) but arrive in completion order, not matrix order — aggregate
-// commutatively, or use Run for deterministic ordering. A failing load,
-// transform or policy run fails its whole cell: the callback is not invoked
-// for it, the casualty is recorded in the aggregated *Errors, and the other
-// cells proceed.
-func (c Campaign) RunEach(each func(Cell)) error {
-	srcs, scens, seeds, specs, grid := c.cells()
-	var mu sync.Mutex
-	_, err := Map(c.Parallel, grid,
-		func(g [3]int) string {
-			return fmt.Sprintf("%s × %s × seed %d", srcs[g[0]].Name, scens[g[1]].Name, seeds[g[2]])
-		},
-		func(_ int, g [3]int) (struct{}, error) {
-			src, scen, seed := srcs[g[0]], scens[g[1]], seeds[g[2]]
-			cell, err := c.runCell(src, scen, seed, specs)
-			if err != nil {
-				return struct{}{}, err
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			each(*cell)
-			return struct{}{}, nil
-		})
-	return err
-}
-
 // Run executes the matrix and returns one CellSummary per cell in matrix
 // order (sources, then scenarios, then seeds) regardless of Parallel — the
 // summaries, and any report rendered from them, are byte-identical at every
@@ -149,31 +106,42 @@ func (c Campaign) Run() ([]*CellSummary, error) {
 			return fmt.Sprintf("%s × %s × seed %d", srcs[g[0]].Name, scens[g[1]].Name, seeds[g[2]])
 		},
 		func(_ int, g [3]int) (*CellSummary, error) {
-			cell, err := c.runCell(srcs[g[0]], scens[g[1]], seeds[g[2]], specs)
+			src, scen, seed := srcs[g[0]], scens[g[1]], seeds[g[2]]
+			jobs, study, runs, err := c.runCell(src, scen, seed, specs)
 			if err != nil {
 				return nil, err
 			}
-			sum := &CellSummary{
-				Source:     cell.Source,
-				Scenario:   cell.Scenario,
-				Seed:       cell.Seed,
-				SystemSize: cell.SystemSize,
-				Jobs:       len(cell.Jobs),
-				Policies:   make([]string, len(cell.Runs)),
-				Summaries:  make([]*metrics.Summary, len(cell.Runs)),
-			}
-			for i, r := range cell.Runs {
-				sum.Policies[i] = r.Spec.Key
-				sum.Summaries[i] = r.Summary
-				if r.SLO != nil {
-					if sum.SLOs == nil {
-						sum.SLOs = make([]*slo.Summary, len(cell.Runs))
-					}
-					sum.SLOs[i] = r.SLO
-				}
-			}
-			return sum, nil
+			return cellSummary(src.Name, scen.Name, seed, study.SystemSize, len(jobs), runs), nil
 		})
+}
+
+// cellSummary keeps what a report reads of a finished cell: its identity
+// and the per-policy summaries, spec order. Any nil run (a failed policy)
+// fails the whole cell: the summary is nil.
+func cellSummary(source, scen string, seed int64, systemSize, jobs int, runs []*core.Run) *CellSummary {
+	sum := &CellSummary{
+		Source:     source,
+		Scenario:   scen,
+		Seed:       seed,
+		SystemSize: systemSize,
+		Jobs:       jobs,
+		Policies:   make([]string, len(runs)),
+		Summaries:  make([]*metrics.Summary, len(runs)),
+	}
+	for i, r := range runs {
+		if r == nil {
+			return nil
+		}
+		sum.Policies[i] = r.Spec.Key
+		sum.Summaries[i] = r.Summary
+		if r.SLO != nil {
+			if sum.SLOs == nil {
+				sum.SLOs = make([]*slo.Summary, len(runs))
+			}
+			sum.SLOs[i] = r.SLO
+		}
+	}
+	return sum
 }
 
 // runPolicyParallel is Run with the policy axis in the parallel grid: one
@@ -235,34 +203,9 @@ func (c Campaign) runPolicyParallel() ([]*CellSummary, error) {
 		})
 	out := make([]*CellSummary, len(grid))
 	for ci, g := range grid {
-		cellRuns := runs[ci*len(specs) : (ci+1)*len(specs)]
-		sum := &CellSummary{
-			Source:     srcs[g[0]].Name,
-			Scenario:   scens[g[1]].Name,
-			Seed:       seeds[g[2]],
-			SystemSize: states[ci].study.SystemSize,
-			Jobs:       states[ci].jobCount,
-			Policies:   make([]string, len(cellRuns)),
-			Summaries:  make([]*metrics.Summary, len(cellRuns)),
-		}
-		complete := true
-		for i, r := range cellRuns {
-			if r == nil {
-				complete = false
-				break
-			}
-			sum.Policies[i] = r.Spec.Key
-			sum.Summaries[i] = r.Summary
-			if r.SLO != nil {
-				if sum.SLOs == nil {
-					sum.SLOs = make([]*slo.Summary, len(cellRuns))
-				}
-				sum.SLOs[i] = r.SLO
-			}
-		}
-		if complete {
-			out[ci] = sum // any failed policy fails its whole cell, as in cell mode
-		}
+		st := states[ci]
+		out[ci] = cellSummary(srcs[g[0]].Name, scens[g[1]].Name, seeds[g[2]], st.study.SystemSize, st.jobCount,
+			runs[ci*len(specs):(ci+1)*len(specs)])
 	}
 	return out, err
 }
@@ -319,29 +262,20 @@ func (c Campaign) loadCell(src scenario.Source, scen scenario.Scenario, seed int
 	return jobs, study, nil
 }
 
-// runCell loads, transforms and simulates one cell. Policies run serially
+// runCell loads, transforms and simulates one cell, returning its
+// workload, resolved settings and runs (spec order). Policies run serially
 // within the cell (the cell is the unit of parallelism), sharing the
 // transformed workload read-only.
-func (c Campaign) runCell(src scenario.Source, scen scenario.Scenario, seed int64, specs []core.Spec) (*Cell, error) {
+func (c Campaign) runCell(src scenario.Source, scen scenario.Scenario, seed int64, specs []core.Spec) ([]*job.Job, core.StudyConfig, []*core.Run, error) {
 	jobs, study, err := c.loadCell(src, scen, seed)
 	if err != nil {
-		return nil, err
+		return nil, study, nil, err
 	}
-	cell := &Cell{
-		Source:     src.Name,
-		Scenario:   scen.Name,
-		Seed:       seed,
-		SystemSize: study.SystemSize,
-		Epoch:      study.FairshareEpoch,
-		Jobs:       jobs,
-		Runs:       make([]*core.Run, len(specs)),
-	}
+	runs := make([]*core.Run, len(specs))
 	for i, sp := range specs {
-		r, err := core.Execute(study, sp, jobs)
-		if err != nil {
-			return nil, err // core.Execute already names the spec
+		if runs[i], err = core.Execute(study, sp, jobs); err != nil {
+			return nil, study, nil, err // core.Execute already names the spec
 		}
-		cell.Runs[i] = r
 	}
-	return cell, nil
+	return jobs, study, runs, nil
 }

@@ -3,8 +3,6 @@ package sweep_test
 import (
 	"bytes"
 	"errors"
-	"fmt"
-	"sort"
 	"testing"
 
 	"fairsched/internal/core"
@@ -161,22 +159,16 @@ func TestCampaignMatrixShapeAndOrder(t *testing.T) {
 	}
 }
 
-// RunEach must hand over every cell exactly once and keep the other cells
-// alive when one fails.
-func TestCampaignRunEachAndFailureIsolation(t *testing.T) {
+// A failing cell in cell mode leaves a nil summary slot and lands in the
+// aggregated errors, while every other cell still runs.
+func TestCampaignCellFailureIsolation(t *testing.T) {
 	c := testCampaign(4)
 	// A scenario whose transform always fails: user filter selecting nobody.
 	c.Scenarios = append(c.Scenarios, scenario.Scenario{
 		Name:       "broken",
 		Transforms: []scenario.Transform{scenario.UserFilter{}},
 	})
-	var got []string
-	err := c.RunEach(func(cell sweep.Cell) {
-		got = append(got, fmt.Sprintf("%s/%d", cell.Scenario, cell.Seed))
-		if len(cell.Runs) != 2 || cell.Runs[0] == nil {
-			t.Errorf("cell %s/%d has bad runs", cell.Scenario, cell.Seed)
-		}
-	})
+	cells, err := c.Run()
 	var errs *sweep.Errors
 	if !errors.As(err, &errs) {
 		t.Fatalf("want *sweep.Errors, got %v", err)
@@ -184,51 +176,17 @@ func TestCampaignRunEachAndFailureIsolation(t *testing.T) {
 	if len(errs.Runs) != 2 {
 		t.Fatalf("want 2 failed cells (broken × 2 seeds), got %v", errs)
 	}
-	sort.Strings(got)
-	if len(got) != 8 {
-		t.Fatalf("callback fired %d times, want 8: %v", len(got), got)
+	if len(cells) != 5*2 {
+		t.Fatalf("got %d cells, want 10", len(cells))
 	}
-	for _, g := range got {
-		if g == "broken/42" || g == "broken/43" {
-			t.Fatalf("failed cell reached the callback: %v", got)
+	for i, cell := range cells {
+		broken := i >= 8 // broken scenario is last: 2 seeds at the tail
+		if broken && cell != nil {
+			t.Errorf("cell %d should have failed", i)
 		}
-	}
-}
-
-// A window-sliced cell must shift the fairshare epoch by its origin shift:
-// slicing 12h off a midnight-started trace moves the first decay boundary
-// to 12h into the slice, not 24h.
-func TestCampaignWindowShiftsEpoch(t *testing.T) {
-	jobs, err := workload.Generate(workload.Config{Seed: 3, Scale: 0.01, SystemSize: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := scenario.Source{
-		Name: "origin",
-		Load: func(int64) (*scenario.Workload, error) {
-			return &scenario.Workload{Jobs: jobs, SystemSize: 100, UnixStartTime: 5 * 86400}, nil
-		},
-	}
-	c := sweep.Campaign{
-		Sources: []scenario.Source{src},
-		Scenarios: []scenario.Scenario{
-			scenario.Baseline().With(scenario.Window{Start: 12 * 3600}),
-		},
-		Specs:    mustSpecs("fcfs"),
-		Study:    core.StudyConfig{SystemSize: 100},
-		Parallel: 1,
-	}
-	var cells []sweep.Cell
-	if err := c.RunEach(func(cell sweep.Cell) { cells = append(cells, cell) }); err != nil {
-		t.Fatal(err)
-	}
-	if len(cells) != 1 {
-		t.Fatalf("got %d cells", len(cells))
-	}
-	// UnixStartTime 5d is boundary-aligned; a 12h window start means the
-	// slice origin sits mid-interval: epoch -(12h % 24h) = -43200.
-	if cells[0].Epoch != -43200 {
-		t.Fatalf("epoch = %d, want -43200", cells[0].Epoch)
+		if !broken && (cell == nil || len(cell.Summaries) != 2 || cell.Summaries[0] == nil) {
+			t.Errorf("cell %d should have survived with 2 summaries: %+v", i, cell)
+		}
 	}
 }
 

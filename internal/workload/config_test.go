@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 
 	"fairsched/internal/job"
@@ -110,6 +111,30 @@ func TestSampleLogUniformBounds(t *testing.T) {
 		}
 		if j.Runtime < lo || j.Runtime >= hi {
 			t.Fatalf("runtime %d escaped length cell %d (width cell %d)", j.Runtime, l, w)
+		}
+	}
+}
+
+// Validate accepts zero values (the defaults) and refuses every negative
+// numeric field the generator would otherwise silently default.
+func TestConfigValidate(t *testing.T) {
+	if err := (Config{}).Validate(); err != nil {
+		t.Fatalf("zero config: %v", err)
+	}
+	if err := (Config{Scale: 0.5, BurstGamma: 1, SystemSize: 100, UnderestimateProb: -1}).Validate(); err != nil {
+		t.Fatalf("valid config: %v", err)
+	}
+	for name, c := range map[string]Config{
+		"scale":       {Scale: -1},
+		"scale NaN":   {Scale: math.NaN()},
+		"burst gamma": {BurstGamma: -0.3},
+		"system size": {SystemSize: -5},
+		"weeks":       {Weeks: -1},
+		"users":       {Users: -2},
+		"groups":      {Groups: -3},
+	} {
+		if err := c.Validate(); err == nil {
+			t.Errorf("%s: negative value accepted", name)
 		}
 	}
 }

@@ -49,6 +49,32 @@ type Config struct {
 	BurstGamma float64
 }
 
+// Validate rejects a configuration the generator would otherwise silently
+// replace with its defaults: a negative (or NaN) scale or burst gamma, or a
+// negative system size, horizon, user or group count. Zero means the
+// default for each, and Generate itself keeps mapping zero values to the
+// defaults. UnderestimateProb is not checked: a negative value is the
+// documented way to disable underestimates.
+func (c Config) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"scale", c.Scale}, {"burst gamma", c.BurstGamma}} {
+		if !(f.v >= 0) {
+			return fmt.Errorf("workload: %s %v is negative (0 means the default)", f.name, f.v)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"system size", c.SystemSize}, {"weeks", c.Weeks}, {"users", c.Users}, {"groups", c.Groups}} {
+		if f.v < 0 {
+			return fmt.Errorf("workload: %s %d is negative (0 means the default)", f.name, f.v)
+		}
+	}
+	return nil
+}
+
 func (c Config) withDefaults() Config {
 	if c.SystemSize <= 0 {
 		c.SystemSize = 1000
